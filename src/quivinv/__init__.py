@@ -16,10 +16,7 @@ from .groebner import (
     GroebnerBasis,
     Ideal,
     eliminate,
-    groebner,
     ideal_equal,
-    member,
-    normal_form,
 )
 from .invariants import (
     GeneratorEntry,
@@ -28,7 +25,6 @@ from .invariants import (
     framed_correspondence,
     lusztig_generators,
     rep_ideal,
-    restrict_tau,
     ring_for,
     trace_poly,
 )
@@ -50,7 +46,6 @@ from .evaluation import (
     random_rep,
 )
 from .polyring import (
-    Monomial,
     MonomialOrder,
     Polynomial,
     PolynomialRing,
@@ -70,7 +65,6 @@ from .quiver import (
     QuiverError,
     Relation,
     algebra_element,
-    augment_quiver,
     compose,
     enumerate_cycles_in_k,
     enumerate_paths,

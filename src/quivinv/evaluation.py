@@ -29,9 +29,12 @@ def identity_matrix(n: int) -> Matrix:
     )
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+def mat_mul(a: Matrix, b: Matrix, cols: Optional[int] = None) -> Matrix:
+    """a * b.  A matrix with no rows cannot show its column count, so pass
+    ``cols``, the column count of b, whenever b may have zero rows."""
     inner = len(b)
-    cols = len(b[0]) if b else 0
+    if cols is None:
+        cols = len(b[0]) if b else 0
     return tuple(
         tuple(sum((row[k] * b[k][j] for k in range(inner)), Fraction(0)) for j in range(cols))
         for row in a
@@ -102,17 +105,6 @@ class GroupElement:
         return got[1] if got else identity_matrix(dim)
 
 
-def rep_point(pres: Presentation, matrices: dict[str, Matrix]) -> RepPoint:
-    v = pres.dims
-    out = []
-    for a in pres.quiver.arrows:
-        m = matrix_of(matrices[a.name])
-        if len(m) != v[a.head] or any(len(r) != v[a.tail] for r in m):
-            raise QuiverError(f"matrix for {a.name} has wrong shape")
-        out.append((a.name, m))
-    return RepPoint(tuple(out))
-
-
 def random_rep(pres: Presentation, seed: int) -> RepPoint:
     """Deterministic point with integer entries in [-5, 5]."""
     rng = random.Random(seed)
@@ -159,8 +151,8 @@ def act(pres: Presentation, g: GroupElement, point: RepPoint) -> RepPoint:
     out = []
     for a in pres.quiver.arrows:
         m = point.matrix(a.name)
-        m = mat_mul(g.matrix(a.head, v[a.head]), m)
-        m = mat_mul(m, g.inverse(a.tail, v[a.tail]))
+        m = mat_mul(g.matrix(a.head, v[a.head]), m, v[a.tail])
+        m = mat_mul(m, g.inverse(a.tail, v[a.tail]), v[a.tail])
         out.append((a.name, m))
     return RepPoint(tuple(out))
 
@@ -186,7 +178,7 @@ def eval_poly(f: Polynomial, pres: Presentation, point: RepPoint) -> Fraction:
     acc = Fraction(0)
     for m, c in f.terms:
         term = c
-        for i, e in enumerate(m.exps):
+        for i, e in enumerate(m):
             if e:
                 term *= value(i) ** e
         acc += term
@@ -197,9 +189,10 @@ def path_product(pres: Presentation, point: RepPoint, path: Path) -> Matrix:
     """Direct matrix product along a path: the evaluation oracle."""
     if path.is_trivial:
         return identity_matrix(pres.dims[path.tail])
+    cols = pres.dims[path.tail]
     m = point.matrix(path.arrows[0])
     for name in path.arrows[1:]:
-        m = mat_mul(point.matrix(name), m)
+        m = mat_mul(point.matrix(name), m, cols)
     return m
 
 
@@ -232,9 +225,10 @@ def framed_trace(pres: Presentation, framed_path: Path, point: RepPoint) -> Frac
     fq = framed_quiver(pres)
     if framed_path.is_trivial:
         return Fraction(fq.dims[framed_path.tail])
+    cols = fq.dims[framed_path.tail]
     m = mats[framed_path.arrows[0]]
     for name in framed_path.arrows[1:]:
-        m = mat_mul(mats[name], m)
+        m = mat_mul(mats[name], m, cols)
     return mat_trace(m)
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Optional
 
-from .polyring import Monomial, MonomialOrder, Polynomial, PolynomialRing, RingError
+from .polyring import MonomialOrder, Polynomial, PolynomialRing, RingError
 
 
 class BudgetExceededError(RuntimeError):
@@ -41,12 +41,11 @@ class ComputeBudget:
             raise BudgetExceededError(f"reduction-step budget exceeded ({self.max_steps})")
 
 
-def _default_budget() -> ComputeBudget:
-    return ComputeBudget()
-
-
 def _memoized_key(keyf):
-    """The same monomials recur constantly during reduction; cache their keys."""
+    """The same monomials recur constantly during reduction; cache their keys.
+
+    The cache is the function's ``memo`` dict.
+    """
     memo: dict = {}
 
     def key(exps):
@@ -56,6 +55,7 @@ def _memoized_key(keyf):
             memo[exps] = k
         return k
 
+    key.memo = memo
     return key
 
 
@@ -66,15 +66,14 @@ def _memoized_key(keyf):
 # primitive: content 1 and positive leading coefficient.
 
 
-def _to_engine(poly: Polynomial, key) -> list:
-    if poly.is_zero:
-        return []
+def _to_engine(poly: Polynomial, key) -> tuple[list, int]:
+    """Engine form of denom * poly together with the denominator used."""
     denom_lcm = 1
     for _, c in poly.terms:
         denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    terms = [(key(m.exps), m.exps, int(c * denom_lcm)) for m, c in poly.terms]
+    terms = [(key(m), m, int(c * denom_lcm)) for m, c in poly.terms]
     terms.sort(key=lambda t: t[0], reverse=True)
-    return _primitive(terms)
+    return terms, denom_lcm
 
 
 def _primitive(terms: list) -> list:
@@ -211,10 +210,6 @@ def _nf_int(emitted: list, alpha: int) -> list:
     return [(k, m, c * (alpha // a)) for k, m, c, a in emitted]
 
 
-def _nf_rational(emitted: list) -> list[tuple[tuple[int, ...], Fraction]]:
-    return [(m, Fraction(c, a)) for _, m, c, a in emitted]
-
-
 def _spoly(fi: _Reducer, fj: _Reducer, key) -> list:
     L = tuple(max(a, b) for a, b in zip(fi.lm, fj.lm))
     qi = tuple(a - b for a, b in zip(L, fi.lm))
@@ -325,17 +320,19 @@ def _interreduce(polys: list[list], key, budget: ComputeBudget) -> list[list]:
 
 
 class GroebnerBasis:
-    """The unique reduced, monic Groebner basis for an ideal and order."""
+    """The unique reduced, monic Groebner basis for an ideal and order.
 
-    def __init__(self, ring: PolynomialRing, order: MonomialOrder, engine_polys: list[list]):
+    ``key`` is the order's (memoized) key function on exponent tuples, the one
+    the basis was computed with.
+    """
+
+    def __init__(self, ring: PolynomialRing, order: MonomialOrder, key, engine_polys: list[list]):
         self.ring = ring
         self.order = order
-        self._key = _memoized_key(order.key_function(ring.nvars))
-        self._engine = engine_polys
+        self._key = key
         self._reducers = [_reducer_of(p) for p in engine_polys]
         self.polys: tuple[Polynomial, ...] = tuple(
-            ring.polynomial([(Monomial(e), Fraction(c, p[0][2])) for _, e, c in p])
-            for p in engine_polys
+            ring.polynomial([(e, Fraction(c, p[0][2])) for _, e, c in p]) for p in engine_polys
         )
 
     def __len__(self) -> int:
@@ -344,34 +341,17 @@ class GroebnerBasis:
     def __iter__(self):
         return iter(self.polys)
 
-    def leading_monomials(self) -> tuple[Monomial, ...]:
-        """Leading monomials w.r.t. this basis' order (not the ambient one)."""
-        return tuple(Monomial(p[0][1]) for p in self._engine)
-
     def normal_form(self, f: Polynomial, budget: Optional[ComputeBudget] = None) -> Polynomial:
+        """The unique remainder of f modulo this basis."""
         if f.ring != self.ring:
             raise RingError("ring mismatch")
-        budget = budget or _default_budget()
-        engine_f, denom = _to_engine_exact(f, self._key)
-        emitted, _, _ = _normal_form(engine_f, self._reducers, self._key, budget)
-        return self.ring.polynomial(
-            [(Monomial(m), c / denom) for m, c in _nf_rational(emitted)]
-        )
+        engine_f, denom = _to_engine(f, self._key)
+        emitted, _, _ = _normal_form(engine_f, self._reducers, self._key, budget or ComputeBudget())
+        return self.ring.polynomial([(m, Fraction(c, a * denom)) for _, m, c, a in emitted])
 
     def reduces_to_zero(self, f: Polynomial, budget: Optional[ComputeBudget] = None) -> bool:
+        """Ideal membership: whether f has normal form zero."""
         return self.normal_form(f, budget).is_zero
-
-
-def _to_engine_exact(poly: Polynomial, key) -> tuple[list, int]:
-    """Engine form of denom * poly together with the denominator used."""
-    if poly.is_zero:
-        return [], 1
-    denom_lcm = 1
-    for _, c in poly.terms:
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    terms = [(key(m.exps), m.exps, int(c * denom_lcm)) for m, c in poly.terms]
-    terms.sort(key=lambda t: t[0], reverse=True)
-    return terms, denom_lcm
 
 
 class Ideal:
@@ -396,37 +376,15 @@ class Ideal:
         cached = self._cache.get(order)
         if cached is not None:
             return cached
-        budget = budget or _default_budget()
         key = _memoized_key(order.key_function(self.ring.nvars))
-        engine = [_to_engine(g, key) for g in self.generators]
-        basis = _buchberger([e for e in engine if e], key, budget)
-        gb = GroebnerBasis(self.ring, order, basis)
+        engine = [_primitive(_to_engine(g, key)[0]) for g in self.generators]
+        basis = _buchberger([e for e in engine if e], key, budget or ComputeBudget())
+        # the cached basis keeps the key for its normal forms; without this the
+        # keys of every monomial the build met would stay alive with it
+        key.memo.clear()
+        gb = GroebnerBasis(self.ring, order, key, basis)
         self._cache[order] = gb
         return gb
-
-
-def groebner(
-    ideal: Ideal, order: Optional[MonomialOrder] = None, budget: Optional[ComputeBudget] = None
-) -> GroebnerBasis:
-    """Reduced Groebner basis of an ideal w.r.t. an order (cached)."""
-    return ideal.groebner_basis(order, budget)
-
-
-def normal_form(
-    f: Polynomial, gb: GroebnerBasis, budget: Optional[ComputeBudget] = None
-) -> Polynomial:
-    """The unique remainder of f modulo a reduced basis."""
-    return gb.normal_form(f, budget)
-
-
-def member(
-    f: Polynomial,
-    ideal: Ideal,
-    order: Optional[MonomialOrder] = None,
-    budget: Optional[ComputeBudget] = None,
-) -> bool:
-    """Ideal membership through normal-form vanishing."""
-    return ideal.groebner_basis(order, budget).reduces_to_zero(f, budget)
 
 
 def eliminate(
@@ -447,18 +405,10 @@ def eliminate(
         drop_idx.add(i)
     order = MonomialOrder.block(drop_idx)
     gb = ideal.groebner_basis(order, budget)
-    retained = [i for i in range(ring.nvars) if i not in drop_idx]
-    subring = PolynomialRing([ring.variables[i] for i in retained])
-    kept: list[Polynomial] = []
-    for p in gb.polys:
-        if p.variables_used() & drop_idx:
-            continue
-        kept.append(
-            subring.polynomial(
-                [(Monomial(tuple(m.exps[i] for i in retained)), c) for m, c in p.terms]
-            )
-        )
-    return Ideal(subring, kept)
+    subring = PolynomialRing([v for i, v in enumerate(ring.variables) if i not in drop_idx])
+    return Ideal(
+        subring, [p.to_ring(subring) for p in gb.polys if not p.variables_used() & drop_idx]
+    )
 
 
 def ideal_equal(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence, Union
 
-from .groebner import ComputeBudget, Ideal
+from .groebner import Ideal
 from .polyring import Polynomial, PolynomialRing, arrow_var
 from .quiver import (
     AlgebraElement,
@@ -181,9 +181,6 @@ class GeneratorSet:
     def __iter__(self):
         return iter(self.entries)
 
-    def polynomials(self) -> list[Polynomial]:
-        return [e.polynomial for e in self.entries]
-
     def to_jsonable(self) -> list[dict]:
         return [e.to_jsonable() for e in self.entries]
 
@@ -260,16 +257,6 @@ def rep_ideal(pres: Presentation) -> Ideal:
             for j in range(1, v[g.tail] + 1):
                 gens.append(mat[i - 1][j - 1])
     return Ideal(ring, gens)
-
-
-def restrict_tau(
-    f: Polynomial, pres: Presentation, budget: Optional[ComputeBudget] = None
-) -> Polynomial:
-    """Coset representative of f on the representation scheme: the normal
-    form modulo the representation ideal.  Zero exactly when f restricts to
-    zero; the representative itself depends on the ambient order."""
-    gb = rep_ideal(pres).groebner_basis(budget=budget)
-    return gb.normal_form(f, budget)
 
 
 def framed_correspondence(

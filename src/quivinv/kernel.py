@@ -24,10 +24,10 @@ from .invariants import (
     trace_poly,
 )
 from .polyring import (
-    Monomial,
     MonomialOrder,
     Polynomial,
     PolynomialRing,
+    RingError,
     Variable,
     fresh_var,
 )
@@ -197,17 +197,6 @@ def _fresh_variable(entry: GeneratorEntry) -> Variable:
     return fresh_var(label, entry.i, entry.j)
 
 
-def _extend(poly: Polynomial, target: PolynomialRing) -> Polynomial:
-    """Reinterpret a polynomial of a prefix ring inside the extended ring."""
-    own = poly.ring.variables
-    if target.variables[: len(own)] != own:
-        raise QuiverError("polynomial ring is not a prefix of the combined ring")
-    pad = target.nvars - len(own)
-    return Polynomial(
-        target, tuple((Monomial(m.exps + (0,) * pad), c) for m, c in poly.terms)
-    )
-
-
 def present_invariant_ring(
     pres: Presentation,
     max_len: int,
@@ -230,10 +219,10 @@ def present_invariant_ring(
     defining: list[Polynomial] = []
     dictionary: list[tuple[Variable, GeneratorEntry]] = []
     for var, entry in zip(fresh_vars, gens.entries):
-        defining.append(combined.var(var) - _extend(entry.polynomial, combined))
+        defining.append(combined.var(var) - entry.polynomial.to_ring(combined))
         dictionary.append((var, entry))
     for g in rep_ideal(pres).generators:
-        defining.append(_extend(g, combined))
+        defining.append(g.to_ring(combined))
     defining_ideal = Ideal(combined, defining)
     order = MonomialOrder.block(range(arrow_ring.nvars))
     elim = eliminate(defining_ideal, list(range(arrow_ring.nvars)), budget)
@@ -262,16 +251,12 @@ def rewrite_in_generators(
     :class:`NotExpressibleError` otherwise.
     """
     ip = presentation
-    arrow_count = ip.combined_ring.nvars - ip.fresh_ring.nvars
-    if f.ring != ip.combined_ring:
-        f = _extend(f, ip.combined_ring)
+    f = f.to_ring(ip.combined_ring)
     gb = ip.defining_ideal.groebner_basis(ip.elimination_order, budget)
     nf = gb.normal_form(f, budget)
-    if any(i < arrow_count for i in nf.variables_used()):
+    try:
+        return nf.to_ring(ip.fresh_ring)
+    except RingError:
         raise NotExpressibleError(
             f"not expressible at this bound: {f} reduces to {nf}"
-        )
-    retained = list(range(arrow_count, ip.combined_ring.nvars))
-    return ip.fresh_ring.polynomial(
-        [(Monomial(tuple(m.exps[i] for i in retained)), c) for m, c in nf.terms]
-    )
+        ) from None

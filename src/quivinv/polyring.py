@@ -1,10 +1,10 @@
 """Exact multivariate polynomials over the rationals.
 
 Variables are either matrix-entry variables attached to an arrow (printed
-``x[a;i,j]``) or fresh variables (printed ``label[i,j]``).  Monomials store a
-dense exponent tuple internally; the ``exponents`` view is sparse.  Terms are
-kept sorted descending in the ring's ambient order, which also fixes the
-canonical printed form.
+``x[a;i,j]``) or fresh variables (printed ``label[i,j]``).  A monomial is a
+dense exponent tuple with one entry per ring variable.  Terms are kept sorted
+descending in the ring's ambient order, which also fixes the canonical printed
+form.
 """
 
 from __future__ import annotations
@@ -45,39 +45,6 @@ def arrow_var(name: str, row: int, col: int) -> Variable:
 
 def fresh_var(name: str, row: int, col: int) -> Variable:
     return Variable(FRESH, name, row, col)
-
-
-@dataclass(frozen=True)
-class Monomial:
-    exps: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return sum(self.exps)
-
-    @property
-    def exponents(self) -> dict[int, int]:
-        """Sparse view: variable index -> positive exponent."""
-        return {i: e for i, e in enumerate(self.exps) if e}
-
-    @property
-    def is_one(self) -> bool:
-        return not any(self.exps)
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(a + b for a, b in zip(self.exps, other.exps)))
-
-    def divides(self, other: "Monomial") -> bool:
-        return all(a <= b for a, b in zip(self.exps, other.exps))
-
-    def divide(self, other: "Monomial") -> "Monomial":
-        """Quotient self / other; other must divide self."""
-        if not other.divides(self):
-            raise RingError(f"{other} does not divide {self}")
-        return Monomial(tuple(a - b for a, b in zip(self.exps, other.exps)))
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(max(a, b) for a, b in zip(self.exps, other.exps)))
 
 
 def _degrevlex_key(exps: tuple[int, ...]):
@@ -149,10 +116,6 @@ class MonomialOrder:
 
         return key
 
-    def sort_key(self, nvars: int) -> Callable[[Monomial], tuple]:
-        kf = self.key_function(nvars)
-        return lambda m: kf(m.exps)
-
 
 class PolynomialRing:
     """A polynomial ring with a fixed variable tuple and ambient order."""
@@ -194,9 +157,9 @@ class PolynomialRing:
         c = Fraction(c)
         if c == 0:
             return self.zero
-        return Polynomial(self, ((Monomial((0,) * self.nvars), c),))
+        return Polynomial(self, (((0,) * self.nvars, c),))
 
-    def monomial(self, exponents: Mapping[int, int]) -> Monomial:
+    def monomial(self, exponents: Mapping[int, int]) -> tuple[int, ...]:
         exps = [0] * self.nvars
         for i, e in exponents.items():
             if not 0 <= i < self.nvars:
@@ -204,7 +167,7 @@ class PolynomialRing:
             if e < 0:
                 raise RingError("negative exponent")
             exps[i] = e
-        return Monomial(tuple(exps))
+        return tuple(exps)
 
     def var(self, v: Variable | int) -> "Polynomial":
         i = v if isinstance(v, int) else self.index.get(v)
@@ -212,24 +175,24 @@ class PolynomialRing:
             raise RingError(f"variable {v} not in ring")
         return Polynomial(self, ((self.monomial({i: 1}), Fraction(1)),))
 
-    def polynomial(self, terms: Iterable[tuple[Monomial, Fraction]]) -> "Polynomial":
-        """Normalize arbitrary (monomial, coefficient) pairs."""
-        acc: dict[Monomial, Fraction] = {}
+    def polynomial(self, terms: Iterable[tuple[tuple[int, ...], Fraction]]) -> "Polynomial":
+        """Normalize arbitrary (exponent tuple, coefficient) pairs."""
+        acc: dict[tuple[int, ...], Fraction] = {}
         for m, c in terms:
-            if len(m.exps) != self.nvars:
+            if len(m) != self.nvars:
                 raise RingError("monomial has wrong number of variables")
             acc[m] = acc.get(m, Fraction(0)) + Fraction(c)
         kept = [(m, c) for m, c in acc.items() if c != 0]
-        kept.sort(key=lambda mc: self._ambient_key(mc[0].exps), reverse=True)
+        kept.sort(key=lambda mc: self._ambient_key(mc[0]), reverse=True)
         return Polynomial(self, tuple(kept))
 
     # -- printing and parsing ----------------------------------------------
 
-    def format_monomial(self, m: Monomial) -> str:
-        if m.is_one:
+    def format_monomial(self, m: tuple[int, ...]) -> str:
+        if not any(m):
             return "1"
         bits = []
-        for i, e in enumerate(m.exps):
+        for i, e in enumerate(m):
             if e == 1:
                 bits.append(str(self.variables[i]))
             elif e > 1:
@@ -245,7 +208,7 @@ class PolynomialRing:
         text = text.strip()
         if text in ("", "0"):
             return self.zero
-        terms: list[tuple[Monomial, Fraction]] = []
+        terms: list[tuple[tuple[int, ...], Fraction]] = []
         pos = 0
         sign = Fraction(1)
         pending_sign = False
@@ -284,7 +247,10 @@ class PolynomialRing:
                     exps[idx] = exps.get(idx, 0) + e
                     saw_factor = True
                 elif nm:
-                    coeff *= Fraction(nm.group(0))
+                    try:
+                        coeff *= Fraction(nm.group(0))
+                    except ZeroDivisionError:
+                        raise RingError(f"zero denominator in {nm.group(0)!r}") from None
                     pos = nm.end()
                     saw_factor = True
                 else:
@@ -313,7 +279,7 @@ class Polynomial:
 
     __slots__ = ("ring", "terms")
 
-    def __init__(self, ring: PolynomialRing, terms: tuple[tuple[Monomial, Fraction], ...]):
+    def __init__(self, ring: PolynomialRing, terms: tuple[tuple[tuple[int, ...], Fraction], ...]):
         self.ring = ring
         self.terms = terms
 
@@ -322,12 +288,6 @@ class Polynomial:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    @property
-    def leading_monomial(self) -> Monomial:
-        if self.is_zero:
-            raise RingError("zero polynomial has no leading monomial")
-        return self.terms[0][0]
 
     @property
     def leading_coefficient(self) -> Fraction:
@@ -340,21 +300,37 @@ class Polynomial:
         """Degree of the zero polynomial is -1 by convention."""
         if self.is_zero:
             return -1
-        return max(m.degree for m, _ in self.terms)
+        return max(sum(m) for m, _ in self.terms)
 
     def variables_used(self) -> set[int]:
         used: set[int] = set()
         for m, _ in self.terms:
-            for i, e in enumerate(m.exps):
+            for i, e in enumerate(m):
                 if e:
                     used.add(i)
         return used
 
-    def coefficient(self, m: Monomial) -> Fraction:
-        for mm, c in self.terms:
-            if mm == m:
-                return c
-        return Fraction(0)
+    def to_ring(self, target: PolynomialRing) -> "Polynomial":
+        """The same polynomial in another ring, matching variables by identity.
+
+        Raises :class:`RingError` when a variable the polynomial uses is not a
+        variable of ``target``.
+        """
+        if target == self.ring:
+            return self
+        source = self.ring.variables
+        where = [target.index.get(v) for v in source]
+        for i in self.variables_used():
+            if where[i] is None:
+                raise RingError(f"variable {source[i]} not in target ring")
+        terms = []
+        for m, c in self.terms:
+            exps = [0] * target.nvars
+            for i, e in enumerate(m):
+                if e:
+                    exps[where[i]] = e
+            terms.append((tuple(exps), c))
+        return target.polynomial(terms)
 
     def monic(self) -> "Polynomial":
         if self.is_zero:
@@ -396,10 +372,10 @@ class Polynomial:
                 return self.ring.zero
             return Polynomial(self.ring, tuple((m, cc * c) for m, cc in self.terms))
         self._check(other)
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[tuple[int, ...], Fraction] = {}
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
-                m = m1 * m2
+                m = tuple(a + b for a, b in zip(m1, m2))
                 acc[m] = acc.get(m, Fraction(0)) + c1 * c2
         return self.ring.polynomial(acc.items())
 
@@ -433,7 +409,7 @@ class Polynomial:
         bits = []
         for k, (m, c) in enumerate(self.terms):
             mag = abs(c)
-            if m.is_one:
+            if not any(m):
                 body = str(mag)
             elif mag == 1:
                 body = self.ring.format_monomial(m)

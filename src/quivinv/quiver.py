@@ -244,9 +244,6 @@ class AlgebraElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def has_trivial_term(self) -> bool:
-        return any(p.is_trivial for p, _ in self.terms)
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
@@ -461,14 +458,3 @@ def framed_quiver(pres: Presentation) -> FramedQuiver:
     fq = Quiver(verts, tuple(arrows))
     dims = DimensionVector(tuple((x, 1 if x == inf else v[x]) for x in verts))
     return FramedQuiver(fq, dims, inf, tuple(prov))
-
-
-def augment_quiver(pres: Presentation) -> tuple[Quiver, dict[str, str]]:
-    """Adjoin one arrow per relation, from the relation's tail to its head.
-
-    Returns the augmented quiver and the map relation name -> new arrow name
-    (relation names are reserved at construction, so they are used verbatim).
-    """
-    q = pres.quiver
-    extra = [Arrow(r.name, r.element.tail, r.element.head) for r in pres.relations]
-    return Quiver(q.vertices, q.arrows + tuple(extra)), {r.name: r.name for r in pres.relations}

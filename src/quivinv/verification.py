@@ -95,7 +95,7 @@ def _check_product_law(pres: Presentation, rng: random.Random, trials: int) -> C
                 if lhs != rhs:
                     return CheckResult(
                         "product_law",
-                        trials,
+                        done,
                         False,
                         {"q": q.word, "p": p.word, "i": i, "j": j},
                     )
@@ -173,7 +173,11 @@ def _check_kernel_membership(
 
 
 def _check_traversal(pres: Presentation, rng: random.Random, trials: int) -> CheckResult:
-    """A contraction lies in an arrow's entry ideal iff the path uses the arrow."""
+    """A contraction lies in an arrow's entry ideal iff the path uses the arrow.
+
+    A zero contraction, from a path through a zero-dimensional vertex, lies in
+    every ideal.
+    """
     ring = ring_for(pres)
     v = pres.dims
     pool = _path_pool(pres, 4)
@@ -195,8 +199,8 @@ def _check_traversal(pres: Presentation, rng: random.Random, trials: int) -> Che
         traverses = a.name in p.arrows
         for i in range(1, v[p.head] + 1):
             for j in range(1, v[p.tail] + 1):
-                inside = gb.reduces_to_zero(contraction_poly(pres, p, i, j))
-                if inside != traverses:
+                poly = contraction_poly(pres, p, i, j)
+                if gb.reduces_to_zero(poly) != (traverses or poly.is_zero):
                     return CheckResult(
                         "traversal",
                         trials,
@@ -242,7 +246,7 @@ def _check_lift_independence(
                 if lhs != rhs:
                     return CheckResult(
                         "lift_independence",
-                        trials,
+                        done,
                         False,
                         {"relation": rel.name, "u": u.word, "w": w.word, "base": base.word},
                     )

@@ -123,6 +123,13 @@ class TestPresent:
         assert code == 1
         assert json.loads(out)["compare"]["equal"] is False
 
+    def test_zero_denominator_in_reference_is_input_error(self, capsys, kronecker_file, tmp_path):
+        ref = tmp_path / "ref.txt"
+        ref.write_text("1/0 c[1,1]\n", encoding="utf-8")
+        code, _, err = run(capsys, "present", kronecker_file, "--max-len", "1", "--compare", str(ref))
+        assert code == 2
+        assert "zero denominator" in err
+
     def test_budget_exhaustion_exits_three(self, capsys, a1_file):
         code, _, err = run(
             capsys, "present", str(a1_file), "--max-len", "2",
@@ -152,6 +159,17 @@ class TestVerify:
         assert payload["pass"] is False
         failing = [c for c in payload["checks"] if not c["pass"]]
         assert failing and "witness" in failing[0]
+
+    @pytest.mark.parametrize("dims", [(2, 0), (0, 2)])
+    def test_zero_dimension_vertex_passes(self, capsys, a1_file, dims):
+        text = a1_file.read_text("utf-8")
+        a1_file.write_text(
+            text.replace("0 = 2\n1 = 2\n", "0 = {}\n1 = {}\n".format(*dims)), encoding="utf-8"
+        )
+        code, out, _ = run(capsys, "verify", str(a1_file), "--format", "json")
+        payload = json.loads(out)
+        assert code == 0
+        assert [c["name"] for c in payload["checks"] if not c["pass"]] == []
 
     def test_seed_changes_are_echoed(self, capsys, a1_file):
         _, out, _ = run(capsys, "verify", str(a1_file), "--seed", "99", "--format", "json")

@@ -18,11 +18,9 @@ from quivinv import (
     enumerate_paths,
     framed_correspondence,
     lusztig_generators,
-    member,
     parse_presentation,
     path_from_word,
     rep_ideal,
-    restrict_tau,
     ring_for,
     trace_poly,
     trivial_path,
@@ -100,7 +98,7 @@ class TestContraction:
         for word in ("c", "ec", "fdec"):
             p = path_from_word(a1.quiver, word)
             poly = contraction_poly(a1, p, 1, 1)
-            assert {m.degree for m, _ in poly.terms} == {len(p)}
+            assert {sum(m) for m, _ in poly.terms} == {len(p)}
 
     def test_linear_in_relations(self, a1):
         q = a1.quiver
@@ -218,16 +216,18 @@ class TestRepIdeal:
 class TestRestrictTau:
     def test_ideal_generator_restricts_to_zero(self, a1):
         g1 = a1.relation("g1").element
-        assert restrict_tau(contraction_poly(a1, g1, 1, 1), a1).is_zero
+        gb = rep_ideal(a1).groebner_basis()
+        assert gb.normal_form(contraction_poly(a1, g1, 1, 1)).is_zero
 
     def test_single_variable_is_already_reduced(self, a1):
         x = ring_for(a1).parse("x[c;1,1]")
-        assert restrict_tau(x, a1) == x
+        assert rep_ideal(a1).groebner_basis().normal_form(x) == x
 
     def test_trace_difference_of_equivalent_cycles_vanishes(self, a1):
         fc = path_from_word(a1.quiver, "fc")
         ed = path_from_word(a1.quiver, "ed")
-        assert restrict_tau(trace_poly(a1, fc) - trace_poly(a1, ed), a1).is_zero
+        gb = rep_ideal(a1).groebner_basis()
+        assert gb.normal_form(trace_poly(a1, fc) - trace_poly(a1, ed)).is_zero
 
     def test_lift_independence_hand_case(self, a1):
         # lifts differing by e*g2*c restrict identically
@@ -240,9 +240,10 @@ class TestRestrictTau:
         shifted = algebra_element(
             q, "0", "0", [(base, Fraction(1))] + list(shift.terms)
         )
+        gb = rep_ideal(a1).groebner_basis()
         for i, j in ((1, 1), (2, 2), (1, 2)):
-            lhs = restrict_tau(contraction_poly(a1, shifted, i, j), a1)
-            rhs = restrict_tau(contraction_poly(a1, base, i, j), a1)
+            lhs = gb.normal_form(contraction_poly(a1, shifted, i, j))
+            rhs = gb.normal_form(contraction_poly(a1, base, i, j))
             assert lhs == rhs
 
 
@@ -261,9 +262,10 @@ class TestTraversal:
         )
         fc = path_from_word(a1.quiver, "fc")
         ed = path_from_word(a1.quiver, "ed")
-        assert member(contraction_poly(a1, fc, 1, 1), i_f)
-        assert not member(contraction_poly(a1, ed, 1, 1), i_f)
-        assert member(ring.zero, i_f)
+        gb = i_f.groebner_basis()
+        assert gb.reduces_to_zero(contraction_poly(a1, fc, 1, 1))
+        assert not gb.reduces_to_zero(contraction_poly(a1, ed, 1, 1))
+        assert gb.reduces_to_zero(ring.zero)
 
 
 class TestFramedCorrespondence:

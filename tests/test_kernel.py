@@ -157,17 +157,18 @@ class TestPresentInvariantRing:
             acc = ring_for(a1).zero
             for m, c in g.terms:
                 term = ring_for(a1).constant(c)
-                for idx, exp in m.exponents.items():
-                    term = term * lookup[str(ip.fresh_ring.variables[idx])] ** exp
+                for idx, exp in enumerate(m):
+                    if exp:
+                        term = term * lookup[str(ip.fresh_ring.variables[idx])] ** exp
                 acc = acc + term
             assert gb.reduces_to_zero(acc), str(g)
 
 
 def _extend_for_test(poly, target):
-    from quivinv.polyring import Monomial, Polynomial
+    from quivinv.polyring import Polynomial
 
     pad = target.nvars - len(poly.ring.variables)
-    return Polynomial(target, tuple((Monomial(m.exps + (0,) * pad), c) for m, c in poly.terms))
+    return Polynomial(target, tuple((m + (0,) * pad, c) for m, c in poly.terms))
 
 
 class TestRewrite:
@@ -182,8 +183,6 @@ class TestRewrite:
             rewrite_in_generators(x, a1_presented)
 
     def test_defining_generator_rewrites_into_elimination_ideal(self, a1, a1_presented):
-        from quivinv import member
-
         g1 = a1.relation("g1").element
         got = rewrite_in_generators(contraction_poly(a1, g1, 1, 1), a1_presented)
-        assert member(got, a1_presented.elimination_ideal)
+        assert a1_presented.elimination_ideal.groebner_basis().reduces_to_zero(got)

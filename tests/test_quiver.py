@@ -10,9 +10,7 @@ from quivinv import (
     Presentation,
     Quiver,
     QuiverError,
-    Relation,
     algebra_element,
-    augment_quiver,
     compose,
     enumerate_cycles_in_k,
     enumerate_paths,
@@ -192,29 +190,6 @@ class TestFramedQuiver:
             s10 = [a for a in a1.quiver.arrows if a.tail in K and a.head not in K]
             expected = len(s11) + sum(v[a.tail] for a in s01) + sum(v[a.head] for a in s10)
             assert len(fq.quiver.arrows) == expected
-
-
-class TestAugmentedQuiver:
-    def test_a1_adds_two_relation_arrows(self, a1):
-        qbar, names = augment_quiver(a1)
-        arrows = {a.name: (a.tail, a.head) for a in qbar.arrows}
-        assert len(qbar.arrows) == 6
-        assert arrows[names["g1"]] == ("0", "0")
-        assert arrows[names["g2"]] == ("1", "1")
-
-    def test_no_relations_is_identity(self, a1):
-        free = Presentation(a1.quiver, a1.dims, a1.frozen_vertices)
-        qbar, names = augment_quiver(free)
-        assert qbar == a1.quiver and names == {}
-
-    def test_crossing_relation_adds_crossing_arrow(self, a1):
-        c = path_from_word(a1.quiver, "c")
-        d = path_from_word(a1.quiver, "d")
-        rel = algebra_element(a1.quiver, "1", "0", [(c, Fraction(1)), (d, Fraction(-1))])
-        pres = Presentation(a1.quiver, a1.dims, a1.frozen_vertices, (Relation("h", rel),))
-        qbar, names = augment_quiver(pres)
-        added = next(a for a in qbar.arrows if a.name == names["h"])
-        assert (added.tail, added.head) == ("0", "1")
 
 
 class TestAlgebraElements:

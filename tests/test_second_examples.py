@@ -11,7 +11,6 @@ from importlib import resources
 import pytest
 
 from quivinv import (
-    member,
     parse_presentation,
     present_invariant_ring,
     rep_ideal,
@@ -73,12 +72,13 @@ class TestLoopWithLegs:
             "ellc[1,1] - tr.l[0,0]*elc[1,1]"
             " + 1/2 tr.l[0,0]^2 ec[1,1] - 1/2 tr.ll[0,0]*ec[1,1]"
         )
-        assert member(identity, loop_presented.elimination_ideal)
+        assert loop_presented.elimination_ideal.groebner_basis().reduces_to_zero(identity)
 
     def test_generators_satisfy_no_linear_relation(self, loop_presented):
         ring = loop_presented.fresh_ring
-        assert not member(ring.parse("ec[1,1]"), loop_presented.elimination_ideal)
-        assert not member(ring.parse("tr.l[0,0]"), loop_presented.elimination_ideal)
+        gb = loop_presented.elimination_ideal.groebner_basis()
+        assert not gb.reduces_to_zero(ring.parse("ec[1,1]"))
+        assert not gb.reduces_to_zero(ring.parse("tr.l[0,0]"))
 
     def test_framed_correspondence_through_the_loop(self):
         # a nontrivial middle path inside the frozen set: the framed cycle
@@ -104,13 +104,15 @@ class TestNilpotentJordan:
         # tr(a^2) is the sum of two defining generators, so its fresh name
         # must land in the elimination ideal
         ring = nilpotent_presented.fresh_ring
-        assert member(ring.parse("tr.aa[0,0]"), nilpotent_presented.elimination_ideal)
+        gb = nilpotent_presented.elimination_ideal.groebner_basis()
+        assert gb.reduces_to_zero(ring.parse("tr.aa[0,0]"))
 
     def test_trace_itself_does_not(self, nilpotent_presented):
         # the defining ideal is generated in degree two, so no linear
         # polynomial in the traces can restrict to zero
         ring = nilpotent_presented.fresh_ring
-        assert not member(ring.parse("tr.a[0,0]"), nilpotent_presented.elimination_ideal)
+        gb = nilpotent_presented.elimination_ideal.groebner_basis()
+        assert not gb.reduces_to_zero(ring.parse("tr.a[0,0]"))
 
 
 class TestLoopVerificationSuite:
@@ -150,7 +152,8 @@ class TestReferenceTranscriptionCrossCheck:
             substituted = ring.zero
             for m, coeff in reference.terms:
                 term = ring.constant(coeff)
-                for idx, exp in m.exponents.items():
-                    term = term * lookup[str(ip.fresh_ring.variables[idx])] ** exp
+                for idx, exp in enumerate(m):
+                    if exp:
+                        term = term * lookup[str(ip.fresh_ring.variables[idx])] ** exp
                 substituted = substituted + term
             assert gb.reduces_to_zero(substituted), line

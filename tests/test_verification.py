@@ -1,6 +1,7 @@
 import json
+import random
 
-from quivinv import run_verification
+from quivinv import AlgebraElement, ring_for, run_verification, verification
 
 
 def test_full_suite_passes_on_a1(a1):
@@ -52,3 +53,19 @@ def test_arrowless_quiver_passes_vacuously():
     assert report.passed
     trials = {c.name: c.trials for c in report.checks}
     assert trials["product_law"] == 0 and trials["traversal"] == 0
+
+
+def test_failed_checks_report_the_trials_done(a1, monkeypatch):
+    # paths contract to 1 and algebra elements to 0: the product law and
+    # lift independence both fail on their first trial
+    ring = ring_for(a1)
+
+    def broken(pres, g, i, j):
+        return ring.zero if isinstance(g, AlgebraElement) else ring.one
+
+    monkeypatch.setattr(verification, "contraction_poly", broken)
+    rng = random.Random(0)
+    product = verification._check_product_law(a1, rng, 50)
+    lift = verification._check_lift_independence(a1, rng, 30, None)
+    assert (product.passed, product.trials) == (False, 1)
+    assert (lift.passed, lift.trials) == (False, 1)
