@@ -114,19 +114,20 @@ def cmd_kernel(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _compare_against(ip, compare_text: str) -> bool:
+def _compare_against(ip, compare_text: str, budget: Optional[ComputeBudget]) -> bool:
     ring = ip.fresh_ring
     polys = []
     for line in compare_text.splitlines():
         line = line.split("#", 1)[0].strip()
         if line:
             polys.append(ring.parse(line))
-    return ideal_equal(ip.elimination_ideal, Ideal(ring, polys))
+    return ideal_equal(ip.elimination_ideal, Ideal(ring, polys), budget=budget)
 
 
 def cmd_present(cfg: RunConfig) -> int:
     pres = cfg.load()
-    ip = present_invariant_ring(pres, cfg.max_len, cfg.selection(pres), cfg.budget)
+    budget = cfg.budget
+    ip = present_invariant_ring(pres, cfg.max_len, cfg.selection(pres), budget)
     payload = {
         "command": "present",
         "K": sorted(pres.frozen_vertices),
@@ -139,7 +140,7 @@ def cmd_present(cfg: RunConfig) -> int:
     equal = None
     if cfg.compare:
         with open(cfg.compare, "r", encoding="utf-8") as fh:
-            equal = _compare_against(ip, fh.read())
+            equal = _compare_against(ip, fh.read(), budget)
         payload["compare"] = {"file": cfg.compare, "equal": equal}
         lines.append(f"compare: {'equal' if equal else 'NOT EQUAL'}")
     _emit(cfg, payload, lines)
@@ -178,7 +179,7 @@ def cmd_example_a1(cfg: RunConfig) -> int:
     kernel_free = kernel_generators(pres.with_frozen([]), 0, 0)
     kernel = kernel_generators(pres, 1, 1)
     ip = present_invariant_ring(pres, 2, selection, budget)
-    compare_equal = _compare_against(ip, _data_text("paper13.txt"))
+    compare_equal = _compare_against(ip, _data_text("paper13.txt"), budget)
     report = run_verification(pres, seed=cfg.seed, budget=budget)
 
     payload = {

@@ -2,7 +2,11 @@
 
 The engine works fraction-free on integer-coefficient term lists (content
 stripped, positive leading coefficient), with Gebauer-Moeller pair pruning and
-sugar-degree selection.  Reduction work is metered by a :class:`ComputeBudget`
+sugar-degree selection.  Inside the engine a monomial is a pair of plain ints,
+its order key and its packed exponent vector (see :class:`_Packing`), so that
+multiplying, dividing and comparing monomials are a few int operations;
+:class:`Polynomial` keeps exponent tuples, and the conversion happens only on
+the way in and out.  Reduction work is metered by a :class:`ComputeBudget`
 and aborts with :class:`BudgetExceededError` rather than truncating silently.
 Everything runs sequentially; the reduced basis is unique per order, so the
 printed result is deterministic by construction.
@@ -11,9 +15,11 @@ printed result is deterministic by construction.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Iterable, Optional
 
 from .polyring import MonomialOrder, Polynomial, PolynomialRing, RingError
@@ -41,38 +47,86 @@ class ComputeBudget:
             raise BudgetExceededError(f"reduction-step budget exceeded ({self.max_steps})")
 
 
-def _memoized_key(keyf):
-    """The same monomials recur constantly during reduction; cache their keys.
+# -- packed monomials ----------------------------------------------------------
 
-    The cache is the function's ``memo`` dict.
+
+class _Overflow(Exception):
+    """A degree reached the packing's limit; the caller repacks at double width."""
+
+
+class _Packing:
+    """Engine monomials as int pairs (K, E), for one order and field width.
+
+    K is a linear form sum(e_i * w_i) whose integer order is the monomial
+    order.  With W = 2**bits, lex uses w_i = W**(n-1-i) and degrevlex
+    w_i = W**n - W**i (the degree on top, reversed exponents subtracted below
+    it); a block order uses those forms per block, the front block scaled
+    above any back-block key.  E holds exponent i in bits
+    [i*(bits+1), i*(bits+1)+bits), each field topped by a zero guard bit, and
+    the total degree above all fields, so b divides a iff
+    ((a | guard) - b) & guard == guard.  A product of monomials adds the Ks
+    and the Es.  Both stay exact while every degree is below W; the engine
+    checks that on packing, per new pair and per reduction step (the sugar
+    bounds the degree of every term a step creates) and raises _Overflow.
     """
-    memo: dict = {}
 
-    def key(exps):
-        k = memo.get(exps)
-        if k is None:
-            k = keyf(exps)
-            memo[exps] = k
-        return k
+    def __init__(self, order: MonomialOrder, nvars: int, bits: int):
+        self.nvars, self.bits, self.limit = nvars, bits, 1 << bits
+        self.stride = bits + 1
+        self.shift = nvars * self.stride  # the total degree sits above the fields
+        self.ones = sum(1 << (i * self.stride) for i in range(nvars))
+        self.guard = self.ones << bits
+        W = self.limit
+        if order.scheme != "block":
+            blocks = [(range(nvars), order.scheme, 1)]
+        else:
+            back = [i for i in range(nvars) if i not in order.front]
+            front = sorted(i for i in order.front if i < nvars)
+            blocks = [(front, "degrevlex", W ** (len(back) + 1)), (back, order.back, 1)]
+        self.weights = [0] * nvars
+        for block, scheme, scale in blocks:
+            n = len(block)
+            for k, i in enumerate(block):
+                self.weights[i] = scale * (W ** (n - 1 - k) if scheme == "lex" else W**n - W**k)
 
-    key.memo = memo
-    return key
+    def pack(self, m: tuple[int, ...]) -> tuple[int, int]:
+        e = sum(m)
+        if e >= self.limit:
+            raise _Overflow
+        for x in reversed(m):
+            e = (e << self.stride) | x
+        return sum(map(mul, m, self.weights)), e
+
+    def unpack(self, e: int) -> tuple[int, ...]:
+        return tuple((e >> (i * self.stride)) & (self.limit - 1) for i in range(self.nvars))
+
+    def key(self, e: int) -> int:
+        return sum(map(mul, self.unpack(e), self.weights))
+
+    def lcm(self, a: int, b: int) -> int:
+        g = self.guard
+        ge = ((a | g) - b) & g  # guard bits of the fields where a >= b
+        take_a = ge - (ge >> self.bits)
+        fields = (a & take_a) | (b & ~take_a & (g - self.ones))
+        # the fields summed into the top one; the sum is below 2 * limit
+        deg = (fields * self.ones >> max(self.shift - self.stride, 0)) & (2 * self.limit - 1)
+        return fields | (deg << self.shift)
 
 
 # -- engine term lists -------------------------------------------------------
 #
-# An engine polynomial is a list of (key, exps, coeff) triples sorted
-# descending by key, with integer coefficients.  Basis elements are kept
-# primitive: content 1 and positive leading coefficient.
+# An engine polynomial is a list of (K, E, coeff) triples sorted descending
+# by K, with integer coefficients.  Basis elements are kept primitive:
+# content 1 and positive leading coefficient.
 
 
-def _to_engine(poly: Polynomial, key) -> tuple[list, int]:
+def _to_engine(poly: Polynomial, packing: _Packing) -> tuple[list, int]:
     """Engine form of denom * poly together with the denominator used."""
     denom_lcm = 1
     for _, c in poly.terms:
         denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    terms = [(key(m), m, int(c * denom_lcm)) for m, c in poly.terms]
-    terms.sort(key=lambda t: t[0], reverse=True)
+    terms = [(*packing.pack(m), int(c * denom_lcm)) for m, c in poly.terms]
+    terms.sort(reverse=True)
     return terms, denom_lcm
 
 
@@ -92,56 +146,26 @@ def _primitive(terms: list) -> list:
     return [(k, e, c // g) for k, e, c in terms]
 
 
-def _mul_monomial(terms: list, mexps: tuple[int, ...], scale: int, key) -> list:
-    """scale * monomial * terms; order is preserved by multiplicativity."""
-    out = []
-    for _, e, c in terms:
-        ne = tuple(a + b for a, b in zip(e, mexps))
-        out.append((key(ne), ne, c * scale))
-    return out
-
-
-def _add_scaled(a: list, astart: int, sa: int, b: list, sb: int) -> list:
-    """sa * a[astart:] + sb * b, both inputs sorted descending."""
-    out = []
-    i, j = astart, 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        ka = a[i][0]
-        kb = b[j][0]
-        if ka > kb:
-            out.append((ka, a[i][1], sa * a[i][2]))
-            i += 1
-        elif kb > ka:
-            out.append((kb, b[j][1], sb * b[j][2]))
-            j += 1
-        else:
-            c = sa * a[i][2] + sb * b[j][2]
+def _add_into(work: list, terms: list, qk: int, qe: int, scale: int):
+    """Add scale * (qk, qe) * terms into ``work``, which is sorted ascending."""
+    hi = len(work)
+    for k, e, c in terms:  # descending, so each lands below the one before
+        k += qk
+        hi = bisect_left(work, (k,), 0, hi)
+        if hi < len(work) and work[hi][0] == k:
+            c = work[hi][2] + c * scale
             if c:
-                out.append((ka, a[i][1], c))
-            i += 1
-            j += 1
-    while i < na:
-        out.append((a[i][0], a[i][1], sa * a[i][2]))
-        i += 1
-    while j < nb:
-        out.append((b[j][0], b[j][1], sb * b[j][2]))
-        j += 1
-    return out
+                work[hi] = (k, work[hi][1], c)
+            else:
+                del work[hi]
+        else:
+            work.insert(hi, (k, e + qe, c * scale))
 
 
-def _mask(exps: tuple[int, ...]) -> int:
-    m = 0
-    for i, e in enumerate(exps):
-        if e:
-            m |= 1 << i
-    return m
-
-
-@dataclass
+@dataclass(slots=True)
 class _Reducer:
-    lm: tuple[int, ...]
-    mask: int
+    lk: int
+    lm: int
     deg: int
     lc: int
     terms: list
@@ -149,59 +173,53 @@ class _Reducer:
     sugar: int
 
 
-def _reducer_of(terms: list, sugar: Optional[int] = None) -> _Reducer:
-    _, lm, lc = terms[0]
-    deg = sum(lm)
+def _reducer_of(terms: list, shift: int, sugar: Optional[int] = None) -> _Reducer:
+    lk, lm, lc = terms[0]
     if sugar is None:
-        sugar = max(sum(e) for _, e, _ in terms)
-    return _Reducer(lm, _mask(lm), deg, lc, terms, terms[1:], sugar)
+        sugar = max(e for _, e, _ in terms) >> shift  # E orders by degree first
+    return _Reducer(lk, lm, lm >> shift, lc, terms, terms[1:], sugar)
 
 
-def _find_reducer(reducers: list[_Reducer], exps, deg: int, mask: int) -> Optional[_Reducer]:
+def _find_reducer(reducers: list[_Reducer], guarded: int, g: int) -> Optional[_Reducer]:
+    """The first reducer whose leading monomial divides ``guarded ^ g``."""
     for r in reducers:
-        if r.deg <= deg and (r.mask & mask) == r.mask:
-            rl = r.lm
-            for a, b in zip(rl, exps):
-                if a > b:
-                    break
-            else:
-                return r
+        if (guarded - r.lm) & g == g:
+            return r
     return None
 
 
-def _normal_form(f: list, reducers: list[_Reducer], key, budget: ComputeBudget, sugar: int = 0):
+def _normal_form(
+    f: list, reducers: list[_Reducer], packing: _Packing, budget: ComputeBudget, sugar: int = 0
+):
     """Fraction-free full reduction.
 
     Returns (emitted, alpha, sugar) where emitted is a list of
-    (key, exps, coeff, alpha_at_emission): the true normal form of f has
+    (K, E, coeff, alpha_at_emission): the true normal form of f has
     rational coefficients coeff / alpha_at_emission, and alpha * f is
     congruent to the integer polynomial assembled by :func:`_nf_int`.
     """
+    g, shift, limit = packing.guard, packing.shift, packing.limit
     out: list = []
-    work = f
-    pos = 0
+    work = f[::-1]  # ascending: the leading term is popped off the end
     alpha = 1
-    while pos < len(work):
-        k, m, c = work[pos]
-        mdeg = sum(m)
-        red = _find_reducer(reducers, m, mdeg, _mask(m))
+    while work:
+        k, m, c = work.pop()
+        red = _find_reducer(reducers, m | g, g)
         if red is None:
             out.append((k, m, c, alpha))
-            pos += 1
             continue
         budget.spend_step()
-        q = tuple(a - b for a, b in zip(m, red.lm))
+        step_sugar = red.sugar + (m >> shift) - red.deg
+        if step_sugar > sugar:
+            if step_sugar >= limit:
+                raise _Overflow
+            sugar = step_sugar
         d = gcd(c, red.lc)
         a_scale = red.lc // d
-        b_scale = c // d
-        tail = _mul_monomial(red.tail, q, -b_scale, key) if red.tail else []
-        work = _add_scaled(work, pos + 1, a_scale, tail, 1)
-        pos = 0
         if a_scale != 1:
             alpha *= a_scale
-        qdeg = mdeg - red.deg
-        if red.sugar + qdeg > sugar:
-            sugar = red.sugar + qdeg
+            work = [(wk, we, wc * a_scale) for wk, we, wc in work]
+        _add_into(work, red.tail, k - red.lk, m - red.lm, -(c // d))
     return out, alpha, sugar
 
 
@@ -210,72 +228,61 @@ def _nf_int(emitted: list, alpha: int) -> list:
     return [(k, m, c * (alpha // a)) for k, m, c, a in emitted]
 
 
-def _spoly(fi: _Reducer, fj: _Reducer, key) -> list:
-    L = tuple(max(a, b) for a, b in zip(fi.lm, fj.lm))
-    qi = tuple(a - b for a, b in zip(L, fi.lm))
-    qj = tuple(a - b for a, b in zip(L, fj.lm))
+def _spoly(fi: _Reducer, fj: _Reducer, lk: int, lm: int) -> list:
     d = gcd(fi.lc, fj.lc)
-    left = _mul_monomial(fi.terms, qi, fj.lc // d, key)
-    right = _mul_monomial(fj.terms, qj, -(fi.lc // d), key)
-    return _add_scaled(left, 0, 1, right, 1)
+    qk, qe, scale = lk - fi.lk, lm - fi.lm, fj.lc // d
+    work = [(k + qk, e + qe, c * scale) for k, e, c in reversed(fi.terms)]  # ascending
+    _add_into(work, fj.terms, lk - fj.lk, lm - fj.lm, -(fi.lc // d))
+    return work[::-1]
 
 
 def _poly_sort_key(terms: list):
     return tuple((k, c) for k, _, c in terms)
 
 
-def _buchberger(inputs: list[list], key, budget: ComputeBudget) -> list[list]:
+def _buchberger(inputs: list[list], packing: _Packing, budget: ComputeBudget) -> list[list]:
     """Reduced Groebner basis of the given engine polynomials."""
+    g, shift = packing.guard, packing.shift
     basis: list[_Reducer] = []
-    pairs: dict[tuple[int, int], tuple[int, tuple[int, ...], int]] = {}  # (i,j) -> (sugar, lcm, lcm mask)
-    heap: list = []  # (sugar, lcm key, i, j); may hold pruned entries
+    pairs: dict[tuple[int, int], int] = {}  # (i,j) -> E of the lcm
+    heap: list = []  # (sugar, lcm K, i, j); may hold pruned entries
 
     def add_element(terms: list, sugar: Optional[int] = None):
         # Gebauer-Moeller update.  Group candidate pairs by their lcm: equal
         # lcms keep one representative, lcms divisible by a kept smaller one
         # are dropped, and an lcm witnessed by a coprime pair is dropped
         # entirely.  Old pairs strictly refined by the new lead go too.
-        h = _reducer_of(terms, sugar)
+        h = _reducer_of(terms, shift, sugar)
         t = len(basis)
-        cand = [tuple(max(a, b) for a, b in zip(g.lm, h.lm)) for g in basis]
-        groups: dict[tuple[int, ...], int] = {}
-        coprime_lcms: set[tuple[int, ...]] = set()
-        for i in range(t):
-            li = cand[i]
-            if (basis[i].mask & h.mask) == 0:
-                coprime_lcms.add(li)
-            elif li not in groups:
-                groups[li] = i
-        minimal: list[tuple[tuple[int, ...], int]] = []
-        ordered = sorted(
-            set(groups) | coprime_lcms, key=lambda L: (sum(L), key(L))
-        )
-        kept_lcms: list[tuple[int, ...]] = []
-        for L in ordered:
-            if any(all(x <= y for x, y in zip(Lk, L)) for Lk in kept_lcms):
+        cand = [packing.lcm(r.lm, h.lm) for r in basis]
+        groups: dict[int, int] = {}
+        coprime_lcms: set[int] = set()
+        for i, L in enumerate(cand):
+            if L >> shift == basis[i].deg + h.deg:
+                coprime_lcms.add(L)
+            elif L not in groups:
+                groups[L] = i
+        minimal: list[tuple[int, int]] = []
+        kept_lcms: list[int] = []
+        # E sorts by degree first, so a divisor is met before its multiples
+        for L in sorted(set(groups) | coprime_lcms):
+            guarded = L | g
+            if any((guarded - Lk) & g == g for Lk in kept_lcms):
                 continue
             kept_lcms.append(L)
             if L in coprime_lcms:
                 continue  # Buchberger's first criterion kills the class
             minimal.append((L, groups[L]))
-        hmask = h.mask
-        for (i, j), (_, lij, lij_mask) in list(pairs.items()):
-            if (hmask & lij_mask) != hmask:
-                continue
-            if (
-                all(x <= y for x, y in zip(h.lm, lij))
-                and cand[i] != lij
-                and cand[j] != lij
-            ):
+        for (i, j), lij in list(pairs.items()):
+            if ((lij | g) - h.lm) & g == g and cand[i] != lij and cand[j] != lij:
                 del pairs[(i, j)]
         for L, i in minimal:
-            ldeg = sum(L)
-            sug = max(
-                basis[i].sugar + ldeg - basis[i].deg,
-                h.sugar + ldeg - h.deg,
-            )
-            pairs[(i, t)] = (sug, L, _mask(L))
-            heapq.heappush(heap, (sug, key(L), i, t))
+            ldeg = L >> shift
+            sug = max(basis[i].sugar + ldeg - basis[i].deg, h.sugar + ldeg - h.deg)
+            if sug >= packing.limit:
+                raise _Overflow
+            pairs[(i, t)] = L
+            heapq.heappush(heap, (sug, packing.key(L), i, t))
         basis.append(h)
 
     for f in sorted(inputs, key=_poly_sort_key, reverse=True):
@@ -283,37 +290,38 @@ def _buchberger(inputs: list[list], key, budget: ComputeBudget) -> list[list]:
             add_element(f)
 
     while heap:
-        sug, _, i, j = heapq.heappop(heap)
-        if pairs.pop((i, j), None) is None:
+        sug, lk, i, j = heapq.heappop(heap)
+        lm = pairs.pop((i, j), None)
+        if lm is None:
             continue  # pruned by a later update
         budget.spend_pair()
-        s = _spoly(basis[i], basis[j], key)
+        s = _spoly(basis[i], basis[j], lk, lm)
         if not s:
             continue
-        emitted, alpha, hsug = _normal_form(s, basis, key, budget, sug)
+        emitted, alpha, hsug = _normal_form(s, basis, packing, budget, sug)
         if emitted:
             add_element(_primitive(_nf_int(emitted, alpha)), hsug)
 
-    return _interreduce([r.terms for r in basis], key, budget)
+    return _interreduce([r.terms for r in basis], packing, budget)
 
 
-def _interreduce(polys: list[list], key, budget: ComputeBudget) -> list[list]:
+def _interreduce(polys: list[list], packing: _Packing, budget: ComputeBudget) -> list[list]:
+    g, shift = packing.guard, packing.shift
     polys = [p for p in polys if p]
     polys.sort(key=lambda p: (p[0][0], _poly_sort_key(p)))
     minimal: list[list] = []
-    minimal_reducers: list[_Reducer] = []
     for p in polys:
-        lm = p[0][1]
-        if _find_reducer(minimal_reducers, lm, sum(lm), _mask(lm)) is None:
+        guarded = p[0][1] | g
+        if not any((guarded - q[0][1]) & g == g for q in minimal):
             minimal.append(p)
-            minimal_reducers.append(_reducer_of(p))
-    reduced: list[list] = list(minimal)
-    for idx in range(len(reduced)):
-        others = [_reducer_of(q) for k, q in enumerate(reduced) if k != idx]
-        emitted, alpha, _ = _normal_form(reduced[idx], others, key, budget)
-        reduced[idx] = _primitive(_nf_int(emitted, alpha))
-    reduced.sort(key=lambda p: p[0][0])
-    return reduced
+    # each element is reduced by the others as they stand, earlier ones
+    # already reduced; only the reducer of the element just reduced changes
+    reducers = [_reducer_of(p, shift) for p in minimal]
+    for idx, r in enumerate(reducers):
+        others = reducers[:idx] + reducers[idx + 1 :]
+        emitted, alpha, _ = _normal_form(r.terms, others, packing, budget)
+        reducers[idx] = _reducer_of(_primitive(_nf_int(emitted, alpha)), shift)
+    return sorted((r.terms for r in reducers), key=lambda p: p[0][0])
 
 
 # -- public layer -------------------------------------------------------------
@@ -322,18 +330,19 @@ def _interreduce(polys: list[list], key, budget: ComputeBudget) -> list[list]:
 class GroebnerBasis:
     """The unique reduced, monic Groebner basis for an ideal and order.
 
-    ``key`` is the order's (memoized) key function on exponent tuples, the one
-    the basis was computed with.
+    ``packing`` is the monomial encoding the basis was computed with;
+    :meth:`normal_form` repacks the basis wider when an input needs it.
     """
 
-    def __init__(self, ring: PolynomialRing, order: MonomialOrder, key, engine_polys: list[list]):
+    def __init__(self, ring: PolynomialRing, order: MonomialOrder, packing, engine_polys: list[list]):
         self.ring = ring
         self.order = order
-        self._key = key
-        self._reducers = [_reducer_of(p) for p in engine_polys]
         self.polys: tuple[Polynomial, ...] = tuple(
-            ring.polynomial([(e, Fraction(c, p[0][2])) for _, e, c in p]) for p in engine_polys
+            ring.polynomial([(packing.unpack(e), Fraction(c, p[0][2])) for _, e, c in p])
+            for p in engine_polys
         )
+        self._packing = packing
+        self._reducers = [_reducer_of(p, packing.shift) for p in engine_polys]
 
     def __len__(self) -> int:
         return len(self.polys)
@@ -345,9 +354,22 @@ class GroebnerBasis:
         """The unique remainder of f modulo this basis."""
         if f.ring != self.ring:
             raise RingError("ring mismatch")
-        engine_f, denom = _to_engine(f, self._key)
-        emitted, _, _ = _normal_form(engine_f, self._reducers, self._key, budget or ComputeBudget())
-        return self.ring.polynomial([(m, Fraction(c, a * denom)) for _, m, c, a in emitted])
+        budget = budget or ComputeBudget()
+        spent = budget.steps_used
+        while True:
+            packing = self._packing
+            try:
+                engine_f, denom = _to_engine(f, packing)
+                emitted, _, _ = _normal_form(engine_f, self._reducers, packing, budget)
+                break
+            except _Overflow:
+                budget.steps_used = spent
+                self._packing = wider = _Packing(self.order, self.ring.nvars, 2 * packing.bits)
+                engine_polys = [_primitive(_to_engine(p, wider)[0]) for p in self.polys]
+                self._reducers = [_reducer_of(p, wider.shift) for p in engine_polys]
+        return self.ring.polynomial(
+            [(packing.unpack(m), Fraction(c, a * denom)) for _, m, c, a in emitted]
+        )
 
     def reduces_to_zero(self, f: Polynomial, budget: Optional[ComputeBudget] = None) -> bool:
         """Ideal membership: whether f has normal form zero."""
@@ -376,13 +398,20 @@ class Ideal:
         cached = self._cache.get(order)
         if cached is not None:
             return cached
-        key = _memoized_key(order.key_function(self.ring.nvars))
-        engine = [_primitive(_to_engine(g, key)[0]) for g in self.generators]
-        basis = _buchberger([e for e in engine if e], key, budget or ComputeBudget())
-        # the cached basis keeps the key for its normal forms; without this the
-        # keys of every monomial the build met would stay alive with it
-        key.memo.clear()
-        gb = GroebnerBasis(self.ring, order, key, basis)
+        budget = budget or ComputeBudget()
+        spent = budget.pairs_used, budget.steps_used
+        # first field width: room for four times the largest input degree
+        bits = max(4, (4 * max((g.total_degree for g in self.generators), default=0)).bit_length())
+        while True:
+            packing = _Packing(order, self.ring.nvars, bits)
+            try:
+                engine = [_primitive(_to_engine(g, packing)[0]) for g in self.generators]
+                basis = _buchberger([e for e in engine if e], packing, budget)
+                break
+            except _Overflow:  # start over at double width, as if never begun
+                budget.pairs_used, budget.steps_used = spent
+                bits *= 2
+        gb = GroebnerBasis(self.ring, order, packing, basis)
         self._cache[order] = gb
         return gb
 

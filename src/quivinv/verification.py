@@ -106,13 +106,13 @@ def _check_trace_rotation(pres: Presentation, rng: random.Random, trials: int) -
     cycles = [p for p in _path_pool(pres, 4) if p.is_cycle]
     if not cycles:
         return CheckResult("trace_rotation", 0, True)
-    for _ in range(trials):
+    for trial in range(trials):
         gamma = rng.choice(cycles)
         base = trace_poly(pres, gamma)
         for rot in rotations(gamma, pres.quiver):
             if trace_poly(pres, rot) != base:
                 return CheckResult(
-                    "trace_rotation", trials, False, {"cycle": gamma.word, "rotation": rot.word}
+                    "trace_rotation", trial + 1, False, {"cycle": gamma.word, "rotation": rot.word}
                 )
     return CheckResult("trace_rotation", trials, True)
 
@@ -132,12 +132,12 @@ def _check_eval_oracle(pres: Presentation, rng: random.Random, trials: int) -> C
                 symb = eval_poly(contraction_poly(pres, p, i, j), pres, point)
                 if symb != product[i - 1][j - 1]:
                     return CheckResult(
-                        "evaluation_oracle", trials, False, {"path": p.word, "i": i, "j": j}
+                        "evaluation_oracle", trial + 1, False, {"path": p.word, "i": i, "j": j}
                     )
         if p.is_cycle:
             if eval_poly(trace_poly(pres, p), pres, point) != mat_trace(product):
                 return CheckResult(
-                    "evaluation_oracle", trials, False, {"path": p.word, "kind": "trace"}
+                    "evaluation_oracle", trial + 1, False, {"path": p.word, "kind": "trace"}
                 )
     return CheckResult("evaluation_oracle", trials, True)
 
@@ -172,7 +172,9 @@ def _check_kernel_membership(
     return CheckResult("kernel_membership", len(kernel), True)
 
 
-def _check_traversal(pres: Presentation, rng: random.Random, trials: int) -> CheckResult:
+def _check_traversal(
+    pres: Presentation, rng: random.Random, trials: int, budget: Optional[ComputeBudget]
+) -> CheckResult:
     """A contraction lies in an arrow's entry ideal iff the path uses the arrow.
 
     A zero contraction, from a path through a zero-dimensional vertex, lies in
@@ -194,16 +196,16 @@ def _check_traversal(pres: Presentation, rng: random.Random, trials: int) -> Che
                 for i in range(1, v[a.head] + 1)
                 for j in range(1, v[a.tail] + 1)
             ]
-            ideals[a.name] = Ideal(ring, gens).groebner_basis()
+            ideals[a.name] = Ideal(ring, gens).groebner_basis(budget=budget)
         gb = ideals[a.name]
         traverses = a.name in p.arrows
         for i in range(1, v[p.head] + 1):
             for j in range(1, v[p.tail] + 1):
                 poly = contraction_poly(pres, p, i, j)
-                if gb.reduces_to_zero(poly) != (traverses or poly.is_zero):
+                if gb.reduces_to_zero(poly, budget) != (traverses or poly.is_zero):
                     return CheckResult(
                         "traversal",
-                        trials,
+                        trial + 1,
                         False,
                         {"path": p.word, "arrow": a.name, "i": i, "j": j},
                     )
@@ -395,7 +397,7 @@ def run_verification(
         )
     )
     report.checks.append(_check_kernel_membership(gen_pres, kernel, budget, check_pres=pres))
-    report.checks.append(_check_traversal(pres, rng, 30))
+    report.checks.append(_check_traversal(pres, rng, 30, budget))
     report.checks.append(_check_lift_independence(pres, rng, 30, budget))
     report.checks.append(_check_framed_correspondence(pres, rng))
     report.checks.append(_check_path_counts(rng))

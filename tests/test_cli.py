@@ -138,6 +138,17 @@ class TestPresent:
         assert code == 3
         assert "budget" in err
 
+    def test_budget_covers_the_compare_step(self, capsys, kronecker_file, tmp_path):
+        # the elimination takes 2 reduction steps and the reference's basis
+        # one more, so a cap of 2 must stop the comparison
+        ref = tmp_path / "ref.txt"
+        ref.write_text("c[1,1] - d[1,1]\nc[1,1]^2 - d[1,1]^2\n", encoding="utf-8")
+        argv = ["present", kronecker_file, "--max-len", "1", "--compare", str(ref)]
+        assert run(capsys, *argv, "--budget", "3")[0] == 0
+        code, _, err = run(capsys, *argv, "--budget", "2")
+        assert code == 3
+        assert "budget" in err
+
     def test_dictionary_lists_fresh_names(self, capsys, kronecker_file):
         code, out, _ = run(capsys, "present", kronecker_file, "--max-len", "1", "--format", "json")
         payload = json.loads(out)

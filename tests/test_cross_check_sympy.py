@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 sympy = pytest.importorskip("sympy")
 
-from quivinv import Ideal, MonomialOrder, PolynomialRing, fresh_var
+from quivinv import Ideal, MonomialOrder, PolynomialRing, eliminate, fresh_var
 
 R = PolynomialRing([fresh_var(n, 1, 1) for n in ("x", "y", "z")])
 SYMS = sympy.symbols("x y z")
@@ -27,13 +27,13 @@ def to_sympy(poly):
     return expr
 
 
-def from_sympy(expr):
-    poly = sympy.Poly(expr, *SYMS)
+def from_sympy(expr, ring=R, syms=SYMS):
+    poly = sympy.Poly(expr, *syms)
     terms = []
     for exps, coeff in poly.terms():
         q = sympy.Rational(coeff)
         terms.append((tuple(int(e) for e in exps), Fraction(int(q.p), int(q.q))))
-    return R.polynomial(terms)
+    return ring.polynomial(terms)
 
 
 small_polys = st.builds(
@@ -67,6 +67,22 @@ def test_reduced_bases_agree(ours, theirs, gens):
     reference = sympy.groebner([to_sympy(g) for g in gens], *SYMS, order=theirs, field=True)
     other = {str(from_sympy(e)) for e in reference.exprs}
     assert mine == other
+
+
+@given(gens=st.lists(small_polys, min_size=1, max_size=3))
+@settings(max_examples=25, deadline=None)
+def test_block_order_elimination_agrees_with_lex(gens):
+    # the x-free part of a lex basis generates the elimination ideal in
+    # k[y, z]; ours comes from the block order with x in front
+    gens = [g for g in gens if not g.is_zero]
+    if not gens:
+        return
+    mine = eliminate(Ideal(R, gens), [R.variables[0]])
+    lex = sympy.groebner([to_sympy(g) for g in gens], *SYMS, order="lex", field=True)
+    free = [from_sympy(e, mine.ring, SYMS[1:]) for e in lex.exprs if SYMS[0] not in e.free_symbols]
+    theirs = Ideal(mine.ring, free)
+    order = MonomialOrder.degrevlex()
+    assert mine.groebner_basis(order).polys == theirs.groebner_basis(order).polys
 
 
 def test_worked_example_basis_agrees_with_reference_system():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quivinv import groebner
 from quivinv import (
     BudgetExceededError,
     ComputeBudget,
@@ -14,6 +15,8 @@ from quivinv import (
     fresh_var,
     ideal_equal,
 )
+from quivinv.groebner import _Packing
+from test_polyring import NVARS, monomials, orders
 
 LEX = MonomialOrder.lex()
 R = PolynomialRing([fresh_var(n, 1, 1) for n in ("x", "y", "z")])
@@ -250,3 +253,69 @@ class TestRandomIdeals:
                     lifted[keep[pos]] = e
                 lifted_terms.append((tuple(lifted), c))
             assert gb.reduces_to_zero(R.polynomial(lifted_terms))
+
+
+class TestPackedMonomials:
+    """The engine's packed (K, E) monomials against exponent-tuple arithmetic."""
+
+    # test_polyring's monomials have degree at most 20, products at most 40
+    widths = st.sampled_from([6, 9, 16])
+
+    @given(orders, widths, monomials, monomials)
+    def test_key_orders_as_the_reference_key(self, order, bits, a, b):
+        packing = _Packing(order, NVARS, bits)
+        key = order.key_function(NVARS)
+        ka, kb = packing.pack(a)[0], packing.pack(b)[0]
+        assert (ka < kb, ka == kb) == (key(a) < key(b), key(a) == key(b))
+
+    @given(orders, widths, monomials, monomials)
+    def test_arithmetic_matches_tuples(self, order, bits, a, b):
+        packing = _Packing(order, NVARS, bits)
+        (ka, ea), (kb, eb) = packing.pack(a), packing.pack(b)
+        g = packing.guard
+        product = tuple(x + y for x, y in zip(a, b))
+        lcm = tuple(max(x, y) for x, y in zip(a, b))
+        assert packing.pack(product) == (ka + kb, ea + eb)
+        assert packing.unpack(ea) == a and ea >> packing.shift == sum(a)
+        assert (((eb | g) - ea) & g == g) == divides(a, b)
+        assert packing.lcm(ea, eb) == packing.pack(lcm)[1]
+        assert packing.key(packing.lcm(ea, eb)) == packing.pack(lcm)[0]
+        coprime = not any(x and y for x, y in zip(a, b))
+        assert (packing.lcm(ea, eb) >> packing.shift == sum(a) + sum(b)) == coprime
+
+
+class TestWideExponents:
+    @pytest.mark.parametrize(
+        "order", [MonomialOrder.lex(), MonomialOrder.degrevlex(), MonomialOrder.block({0})]
+    )
+    def test_degree_beyond_sixteen_bits(self, order):
+        gb = Ideal(R, [X**40000 - Y, X * Z - Z]).groebner_basis(order)
+        assert {str(p) for p in gb.polys} == {
+            "y[1,1]*z[1,1] - z[1,1]",
+            "x[1,1]*z[1,1] - z[1,1]",
+            "x[1,1]^40000 - y[1,1]",
+        }
+
+    def test_basis_outgrowing_the_first_width_is_rebuilt_with_the_same_work(self, monkeypatch):
+        # the lex basis reaches degree 64, beyond the first width the inputs
+        # of degree 8 get; starting wide must give the same basis and work
+        ideal = Ideal(R, [X - Y**8, Y - Z**8])
+        restarted = ComputeBudget()
+        gb = ideal.groebner_basis(LEX, restarted)
+        assert set(gb.polys) == {X - Z**64, Y - Z**8}
+        assert gb._packing.limit > 64
+
+        def wide_packing(order, nvars, bits):
+            return _Packing(order, nvars, 3 * bits)
+
+        monkeypatch.setattr(groebner, "_Packing", wide_packing)
+        wide = ComputeBudget()
+        assert Ideal(R, ideal.generators).groebner_basis(LEX, wide).polys == gb.polys
+        assert (wide.pairs_used, wide.steps_used) == (restarted.pairs_used, restarted.steps_used)
+
+    def test_normal_form_repacks_the_basis_wider(self):
+        gb = Ideal(R, [X - Y**3]).groebner_basis(LEX)
+        limit = gb._packing.limit
+        assert gb.normal_form(X**6) == Y**18  # reduction outgrows the width
+        assert gb.normal_form(Z**1000 * X) == Z**1000 * Y**3  # so does the input
+        assert gb._packing.limit > 1000 > limit

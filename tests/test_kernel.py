@@ -1,9 +1,11 @@
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
 from quivinv import (
     Arrow,
+    ComputeBudget,
     DimensionVector,
     Ideal,
     NotExpressibleError,
@@ -186,3 +188,15 @@ class TestRewrite:
         g1 = a1.relation("g1").element
         got = rewrite_in_generators(contraction_poly(a1, g1, 1, 1), a1_presented)
         assert a1_presented.elimination_ideal.groebner_basis().reduces_to_zero(got)
+
+
+def test_engine_work_on_the_a1_file_at_dims_2_1_is_pinned():
+    # the block-order elimination for all generators of the bundled file at
+    # dims (2,1) does a fixed amount of work; a change of representation in
+    # the engine must not change which pairs it reduces or how
+    text = resources.files("quivinv").joinpath("data", "a1_preprojective.quiver").read_text("utf-8")
+    pres = parse_presentation(text.replace("0 = 2\n1 = 2\n", "0 = 2\n1 = 1\n"))
+    budget = ComputeBudget()
+    ip = present_invariant_ring(pres, 2, budget=budget)
+    assert (budget.pairs_used, budget.steps_used) == (1639, 3850)
+    assert len(ip.elimination_ideal.generators) == 37

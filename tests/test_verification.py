@@ -1,7 +1,18 @@
+import itertools
 import json
 import random
 
-from quivinv import AlgebraElement, ring_for, run_verification, verification
+import pytest
+
+from quivinv import (
+    AlgebraElement,
+    BudgetExceededError,
+    ComputeBudget,
+    path_from_word,
+    ring_for,
+    run_verification,
+    verification,
+)
 
 
 def test_full_suite_passes_on_a1(a1):
@@ -69,3 +80,31 @@ def test_failed_checks_report_the_trials_done(a1, monkeypatch):
     lift = verification._check_lift_independence(a1, rng, 30, None)
     assert (product.passed, product.trials) == (False, 1)
     assert (lift.passed, lift.trials) == (False, 1)
+
+
+def test_more_failed_checks_report_the_trials_done(a1, monkeypatch):
+    # one pooled path, through every arrow; traces differ between rotations,
+    # evaluation never matches, and every contraction is 1, which lies in no
+    # arrow's entry ideal: all three checks fail on their first trial
+    ring = ring_for(a1)
+    traces = itertools.count()
+    cycle = path_from_word(a1.quiver, "fdec")
+    monkeypatch.setattr(verification, "_path_pool", lambda pres, max_len: [cycle])
+    monkeypatch.setattr(verification, "trace_poly", lambda pres, p: ring.constant(next(traces)))
+    monkeypatch.setattr(verification, "eval_poly", lambda poly, pres, point: None)
+    monkeypatch.setattr(verification, "contraction_poly", lambda pres, p, i, j: ring.one)
+    rng = random.Random(0)
+    rotation = verification._check_trace_rotation(a1, rng, 50)
+    oracle = verification._check_eval_oracle(a1, rng, 30)
+    traversal = verification._check_traversal(a1, rng, 30, None)
+    assert (rotation.passed, rotation.trials) == (False, 1)
+    assert (oracle.passed, oracle.trials) == (False, 1)
+    assert (traversal.passed, traversal.trials) == (False, 1)
+
+
+def test_traversal_spends_the_given_budget(a1):
+    budget = ComputeBudget()
+    assert verification._check_traversal(a1, random.Random(0), 30, budget).passed
+    assert budget.steps_used > 0
+    with pytest.raises(BudgetExceededError):
+        verification._check_traversal(a1, random.Random(0), 30, ComputeBudget(max_steps=0))
