@@ -14,7 +14,7 @@ import json
 import sys
 from dataclasses import dataclass
 from importlib import resources
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .groebner import BudgetExceededError, ComputeBudget, Ideal, ideal_equal
 from .invariants import lusztig_generators, rep_ideal
@@ -77,12 +77,37 @@ def _data_text(name: str) -> str:
     return resources.files("quivinv").joinpath("data").joinpath(name).read_text("utf-8")
 
 
-def _emit(cfg: RunConfig, payload: dict, text_lines: list[str]):
+def _emit(cfg: RunConfig, payload: dict, render: Callable[[dict], list[str]]):
+    """Print the payload as JSON, or as the text lines ``render(payload)``."""
     if cfg.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        for line in text_lines:
+        for line in render(payload):
             print(line)
+
+
+def _generator_lines(payload: dict) -> list[str]:
+    return [f"{g['label']} = {g['polynomial']}" for g in payload["generators"]]
+
+
+def _present_lines(payload: dict) -> list[str]:
+    ideal = payload["elimination_ideal"]
+    lines = [f"{d['fresh']} = {d['generator']}" for d in payload["dictionary"]]
+    lines.append(f"elimination ideal ({len(ideal)} generators):")
+    lines.extend(f"  {p}" for p in ideal)
+    if "compare" in payload:
+        lines.append(f"compare: {'equal' if payload['compare']['equal'] else 'NOT EQUAL'}")
+    return lines
+
+
+def _verify_lines(payload: dict) -> list[str]:
+    lines = [
+        f"{'PASS' if c['pass'] else 'FAIL'} {c['name']} ({c['trials']} trials)"
+        + (f" witness={json.dumps(c['witness'], sort_keys=True)}" if c.get("witness") else "")
+        for c in payload["checks"]
+    ]
+    lines.append(f"seed {payload['seed']}: {'all checks passed' if payload['pass'] else 'FAILED'}")
+    return lines
 
 
 def cmd_generators(cfg: RunConfig) -> int:
@@ -95,7 +120,7 @@ def cmd_generators(cfg: RunConfig) -> int:
         "count": len(gens),
         "generators": gens.to_jsonable(),
     }
-    _emit(cfg, payload, [f"{e.label} = {e.polynomial}" for e in gens])
+    _emit(cfg, payload, _generator_lines)
     return EXIT_OK
 
 
@@ -110,7 +135,7 @@ def cmd_kernel(cfg: RunConfig) -> int:
         "count": len(kernel),
         "generators": [k.to_jsonable() for k in kernel],
     }
-    _emit(cfg, payload, [f"{k.label} = {k.polynomial}" for k in kernel])
+    _emit(cfg, payload, _generator_lines)
     return EXIT_OK
 
 
@@ -134,16 +159,12 @@ def cmd_present(cfg: RunConfig) -> int:
         "max_len": cfg.max_len,
         **ip.to_jsonable(),
     }
-    lines = [f"{var} = {entry.label}" for var, entry in ip.dictionary]
-    lines.append(f"elimination ideal ({len(ip.elimination_ideal.generators)} generators):")
-    lines.extend(f"  {p}" for p in ip.elimination_ideal.generators)
     equal = None
     if cfg.compare:
         with open(cfg.compare, "r", encoding="utf-8") as fh:
             equal = _compare_against(ip, fh.read(), budget)
         payload["compare"] = {"file": cfg.compare, "equal": equal}
-        lines.append(f"compare: {'equal' if equal else 'NOT EQUAL'}")
-    _emit(cfg, payload, lines)
+    _emit(cfg, payload, _present_lines)
     return EXIT_OK if equal in (None, True) else EXIT_VERIFY
 
 
@@ -158,14 +179,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         budget=cfg.budget,
         mutate=cfg.mutate,
     )
-    payload = {"command": "verify", **report.to_jsonable()}
-    lines = [
-        f"{'PASS' if c.passed else 'FAIL'} {c.name} ({c.trials} trials)"
-        + (f" witness={json.dumps(c.witness, sort_keys=True)}" if c.witness else "")
-        for c in report.checks
-    ]
-    lines.append(f"seed {report.seed}: {'all checks passed' if report.passed else 'FAILED'}")
-    _emit(cfg, payload, lines)
+    _emit(cfg, {"command": "verify", **report.to_jsonable()}, _verify_lines)
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 

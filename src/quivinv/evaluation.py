@@ -264,7 +264,7 @@ def check_invariance(
         if lhs != rhs:
             return CheckResult(
                 name,
-                trials,
+                trial + 1,
                 False,
                 {
                     "trial": trial,

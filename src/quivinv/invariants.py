@@ -47,58 +47,37 @@ def ring_for(pres: Presentation) -> PolynomialRing:
 Matrix = tuple[tuple[Polynomial, ...], ...]
 
 
-def _arrow_matrix(pres: Presentation, name: str) -> Matrix:
-    ring = ring_for(pres)
-    a = pres.quiver.arrow(name)
-    v = pres.dims
-    return tuple(
-        tuple(ring.var(arrow_var(name, i, j)) for j in range(1, v[a.tail] + 1))
-        for i in range(1, v[a.head] + 1)
-    )
-
-
-def _identity_matrix(pres: Presentation, n: int) -> Matrix:
-    ring = ring_for(pres)
-    return tuple(
-        tuple(ring.one if i == j else ring.zero for j in range(n)) for i in range(n)
-    )
-
-
-def _mat_mul(
-    left: Matrix, right: Matrix, ring: PolynomialRing, rows: int, inner: int, cols: int
-) -> Matrix:
-    # explicit shape: empty matrices cannot carry their column count
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = ring.zero
-            for k in range(inner):
-                acc = acc + left[i][k] * right[k][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def path_matrix(pres: Presentation, path: Path) -> Matrix:
-    """Symbolic matrix of the product along a path (rows v_head, cols v_tail)."""
+    """Symbolic matrix of the product along a path (rows v_head, cols v_tail).
+
+    With ``a`` the last arrow and ``rest`` the matrix of the path before it,
+    entry (i,j) is the sum over k of x[a;i,k] * rest[k][j]; an empty sum, at a
+    zero-dimensional vertex, is zero.
+    """
     ring = ring_for(pres)
     v = pres.dims
     if path.is_trivial:
-        return _identity_matrix(pres, v[path.tail])
-    if len(path) == 1:
-        return _arrow_matrix(pres, path.arrows[0])
-    mid_vertex = pres.quiver.arrow(path.arrows[-2]).head
-    prefix = Path(path.arrows[:-1], path.tail, mid_vertex)
-    last = _arrow_matrix(pres, path.arrows[-1])
-    return _mat_mul(
-        last,
-        path_matrix(pres, prefix),
-        ring,
-        v[path.head],
-        v[mid_vertex],
-        v[path.tail],
+        n = v[path.tail]
+        return tuple(tuple(ring.one if i == j else ring.zero for j in range(n)) for i in range(n))
+    a = pres.quiver.arrow(path.arrows[-1])
+    rest = path_matrix(pres, Path(path.arrows[:-1], path.tail, a.tail))
+    # xs[i][k] is the index of x[a;i+1,k+1]; a term m of rest[k][j] times
+    # that variable raises m's exponent there by one
+    xs = [
+        [ring.index[arrow_var(a.name, i, k)] for k in range(1, v[a.tail] + 1)]
+        for i in range(1, v[a.head] + 1)
+    ]
+    return tuple(
+        tuple(
+            ring.polynomial(
+                (m[:x] + (m[x] + 1,) + m[x + 1 :], c)
+                for x, rest_row in zip(row, rest)
+                for m, c in rest_row[j].terms
+            )
+            for j in range(v[path.tail])
+        )
+        for row in xs
     )
 
 
@@ -108,14 +87,14 @@ def element_matrix(pres: Presentation, g: Source) -> Matrix:
         return path_matrix(pres, g)
     ring = ring_for(pres)
     v = pres.dims
-    rows, cols = v[g.head], v[g.tail]
-    acc = [[ring.zero for _ in range(cols)] for _ in range(rows)]
-    for p, coef in g.terms:
-        m = path_matrix(pres, p)
-        for i in range(rows):
-            for j in range(cols):
-                acc[i][j] = acc[i][j] + m[i][j] * coef
-    return tuple(tuple(row) for row in acc)
+    mats = [(path_matrix(pres, p), coef) for p, coef in g.terms]
+    return tuple(
+        tuple(
+            ring.polynomial((m, c * coef) for mat, coef in mats for m, c in mat[i][j].terms)
+            for j in range(v[g.tail])
+        )
+        for i in range(v[g.head])
+    )
 
 
 def contraction_poly(pres: Presentation, g: Source, i: int, j: int) -> Polynomial:
@@ -125,12 +104,8 @@ def contraction_poly(pres: Presentation, g: Source, i: int, j: int) -> Polynomia
     internal index range is zero.
     """
     v = pres.dims
-    head = g.head
-    tail = g.tail
-    if not (1 <= i <= v[head] and 1 <= j <= v[tail]):
-        raise QuiverError(
-            f"index out of range: ({i},{j}) for shape {v[head]}x{v[tail]}"
-        )
+    if not (1 <= i <= v[g.head] and 1 <= j <= v[g.tail]):
+        raise QuiverError(f"index out of range: ({i},{j}) for shape {v[g.head]}x{v[g.tail]}")
     return element_matrix(pres, g)[i - 1][j - 1]
 
 
@@ -139,12 +114,8 @@ def trace_poly(pres: Presentation, g: Source) -> Polynomial:
     the constant dimension of its vertex."""
     if g.head != g.tail:
         raise QuiverError(f"trace needs head = tail, got {g.tail} -> {g.head}")
-    ring = ring_for(pres)
     m = element_matrix(pres, g)
-    acc = ring.zero
-    for k in range(len(m)):
-        acc = acc + m[k][k]
-    return acc
+    return ring_for(pres).polynomial(t for k in range(len(m)) for t in m[k][k].terms)
 
 
 # -- generator enumeration ----------------------------------------------------
@@ -247,16 +218,8 @@ def lusztig_generators(
 def rep_ideal(pres: Presentation) -> Ideal:
     """Ideal cutting out the representation scheme: all contraction
     polynomials of the relations, in declaration then row-major order."""
-    ring = ring_for(pres)
-    v = pres.dims
-    gens: list[Polynomial] = []
-    for rel in pres.relations:
-        g = rel.element
-        mat = element_matrix(pres, g)
-        for i in range(1, v[g.head] + 1):
-            for j in range(1, v[g.tail] + 1):
-                gens.append(mat[i - 1][j - 1])
-    return Ideal(ring, gens)
+    gens = [p for rel in pres.relations for row in element_matrix(pres, rel.element) for p in row]
+    return Ideal(ring_for(pres), gens)
 
 
 def framed_correspondence(

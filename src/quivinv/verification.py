@@ -23,6 +23,7 @@ from .evaluation import (
 from .groebner import ComputeBudget, Ideal
 from .invariants import (
     contraction_poly,
+    element_matrix,
     framed_correspondence,
     lusztig_generators,
     rep_ideal,
@@ -35,6 +36,7 @@ from .quiver import (
     Arrow,
     Presentation,
     Quiver,
+    Relation,
     algebra_element,
     compose,
     element_of_path,
@@ -54,8 +56,6 @@ def _mutated(pres: Presentation) -> Presentation:
     element = algebra_element(
         pres.quiver, rel.element.head, rel.element.tail, [(p0, -c0)] + rest
     )
-    from .quiver import Relation
-
     mutated = Relation(rel.name, element)
     return Presentation(
         pres.quiver, pres.dims, pres.frozen_vertices, (mutated,) + pres.relations[1:]
@@ -154,18 +154,16 @@ def _check_generator_invariance(
 
 
 def _check_kernel_membership(
-    pres: Presentation,
-    kernel,
-    budget: Optional[ComputeBudget],
-    check_pres: Optional[Presentation] = None,
+    pres: Presentation, kernel, budget: Optional[ComputeBudget]
 ) -> CheckResult:
-    """Every kernel generator reduces to zero modulo the representation ideal."""
-    gb = rep_ideal(check_pres or pres).groebner_basis(budget=budget)
-    for gen in kernel:
+    """Every kernel generator reduces to zero modulo the representation ideal
+    of ``pres``."""
+    gb = rep_ideal(pres).groebner_basis(budget=budget)
+    for n, gen in enumerate(kernel, 1):
         if not gb.reduces_to_zero(gen.polynomial, budget):
             return CheckResult(
                 "kernel_membership",
-                len(kernel),
+                n,
                 False,
                 {"generator": gen.label, "normal_form": str(gb.normal_form(gen.polynomial))},
             )
@@ -219,7 +217,6 @@ def _check_lift_independence(
     if not pres.relations:
         return CheckResult("lift_independence", 0, True)
     q = pres.quiver
-    v = pres.dims
     gb = rep_ideal(pres).groebner_basis(budget=budget)
     pool = _path_pool(pres, 2)
     done = 0
@@ -241,11 +238,9 @@ def _check_lift_independence(
             q, ugw.head, ugw.tail, list(element_of_path(base).terms) + list(ugw.terms)
         )
         done += 1
-        for i in range(1, v[ugw.head] + 1):
-            for j in range(1, v[ugw.tail] + 1):
-                lhs = gb.normal_form(contraction_poly(pres, shifted, i, j), budget)
-                rhs = gb.normal_form(contraction_poly(pres, base, i, j), budget)
-                if lhs != rhs:
+        for lhs_row, rhs_row in zip(element_matrix(pres, shifted), element_matrix(pres, base)):
+            for lhs, rhs in zip(lhs_row, rhs_row):
+                if gb.normal_form(lhs, budget) != gb.normal_form(rhs, budget):
                     return CheckResult(
                         "lift_independence",
                         done,
@@ -301,7 +296,7 @@ def _random_quiver(rng: random.Random) -> Quiver:
 
 def _check_path_counts(rng: random.Random, quivers: int = 5, max_len: int = 5) -> CheckResult:
     """Path counts per endpoint pair match powers of the arrow-count matrix."""
-    for _ in range(quivers):
+    for checked in range(1, quivers + 1):
         q = _random_quiver(rng)
         n = len(q.vertices)
         idx = {v: k for k, v in enumerate(q.vertices)}
@@ -325,7 +320,7 @@ def _check_path_counts(rng: random.Random, quivers: int = 5, max_len: int = 5) -
                     if found != power[idx[t]][idx[s]]:
                         return CheckResult(
                             "path_count_oracle",
-                            quivers,
+                            checked,
                             False,
                             {"from": s, "to": t, "length": length, "count": found},
                         )
@@ -396,7 +391,7 @@ def run_verification(
             "kernel_invariance",
         )
     )
-    report.checks.append(_check_kernel_membership(gen_pres, kernel, budget, check_pres=pres))
+    report.checks.append(_check_kernel_membership(pres, kernel, budget))
     report.checks.append(_check_traversal(pres, rng, 30, budget))
     report.checks.append(_check_lift_independence(pres, rng, 30, budget))
     report.checks.append(_check_framed_correspondence(pres, rng))

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from importlib import resources
 
 import pytest
 
@@ -185,3 +187,35 @@ class TestVerify:
     def test_seed_changes_are_echoed(self, capsys, a1_file):
         _, out, _ = run(capsys, "verify", str(a1_file), "--seed", "99", "--format", "json")
         assert json.loads(out)["seed"] == 99
+
+
+DATA = resources.files("quivinv").joinpath("data")
+
+# sha256 of the text-mode stdout on the bundled file, recorded before text
+# output was rendered from the JSON payload
+TEXT_PINS = {
+    "generators": (
+        ["--max-len", "2"],
+        "853bccaed407b04d5d621e399387111f3d510cb393efe6adcf0758270a18394b",
+    ),
+    "kernel": (
+        ["--max-u", "1", "--max-w", "1"],
+        "444c2630d981167fb76a4d1f090fe383c982a4953df7780ae70fedab2e87e65d",
+    ),
+    "present": (
+        ["--select", "ec,fc,fd", "--compare", str(DATA.joinpath("paper13.txt"))],
+        "a4c64a1c0e7d8be0cddc1278301a90771b82cc1f9c1e0c493d2e2debcef831a1",
+    ),
+    "verify": (
+        ["--seed", "0"],
+        "89079d3efe91162a6af013413d98ace09ac39c45bc96383fa07fc3ec90447808",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(TEXT_PINS))
+def test_text_output_is_pinned(capsys, command):
+    args, digest = TEXT_PINS[command]
+    code, out, _ = run(capsys, command, str(DATA.joinpath("a1_preprojective.quiver")), *args)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from quivinv import (
     trace_poly,
     trivial_path,
 )
+from quivinv import evaluation
 from quivinv.evaluation import (
     GroupElement,
     SingularMatrixError,
@@ -173,6 +175,13 @@ class TestInvariance:
     def test_constant_is_invariant(self, a1):
         f = ring_for(a1).constant(Fraction(5, 3))
         assert check_invariance(f, a1, 5, seed=1).passed
+
+    def test_failure_reports_the_trials_done(self, a1, monkeypatch):
+        # every evaluation gives a new value, so the first trial fails
+        values = itertools.count()
+        monkeypatch.setattr(evaluation, "eval_poly", lambda f, pres, point: next(values))
+        result = check_invariance(ring_for(a1).one, a1, 20, seed=0)
+        assert (result.passed, result.trials, result.witness["trial"]) == (False, 1, 0)
 
 
 class TestFramedEvaluation:

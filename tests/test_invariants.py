@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quivinv import (
     Arrow,
@@ -25,6 +27,7 @@ from quivinv import (
     trace_poly,
     trivial_path,
 )
+from quivinv.invariants import element_matrix, path_matrix
 
 # the eight defining polynomials of the representation scheme, transcribed
 REP_IDEAL_8 = [
@@ -288,3 +291,102 @@ class TestFramedCorrespondence:
     def test_wrong_crossing_direction_rejected(self, a1):
         with pytest.raises(QuiverError):
             framed_correspondence(a1, "e", trivial_path("1"), "c", 1, 1)
+
+
+# -- the symbolic layer against a plain fold of variable matrices -------------
+
+BUNDLED = parse_presentation(
+    resources.files("quivinv").joinpath("data", "a1_preprojective.quiver").read_text("utf-8")
+)
+BUNDLED_PATHS = enumerate_paths(
+    BUNDLED.quiver, BUNDLED.quiver.vertices, BUNDLED.quiver.vertices, 4, include_trivial=True
+)
+
+
+def _at_dims(d0: int, d1: int) -> Presentation:
+    dims = DimensionVector.of(BUNDLED.quiver, {"0": d0, "1": d1})
+    return Presentation(BUNDLED.quiver, dims, BUNDLED.frozen_vertices, BUNDLED.relations)
+
+
+def _fold_sum(ring, polys):
+    acc = ring.zero
+    for p in polys:
+        acc = acc + p
+    return acc
+
+
+def _reference_path_matrix(pres, path):
+    """Left-multiply the identity by each arrow's matrix of ring variables."""
+    ring = ring_for(pres)
+    v = pres.dims
+    cols = v[path.tail]
+    mat = [[ring.one if i == j else ring.zero for j in range(cols)] for i in range(cols)]
+    for name in path.arrows:
+        a = BUNDLED.quiver.arrow(name)
+        x = [
+            [ring.var(arrow_var(name, i, k)) for k in range(1, v[a.tail] + 1)]
+            for i in range(1, v[a.head] + 1)
+        ]
+        mat = [
+            [_fold_sum(ring, (row[k] * mat[k][j] for k in range(len(row)))) for j in range(cols)]
+            for row in x
+        ]
+    return mat
+
+
+def _reference_element_matrix(pres, element):
+    ring = ring_for(pres)
+    v = pres.dims
+    mats = [(_reference_path_matrix(pres, p), coef) for p, coef in element.terms]
+    return [
+        [_fold_sum(ring, (m[i][j] * coef for m, coef in mats)) for j in range(v[element.tail])]
+        for i in range(v[element.head])
+    ]
+
+
+def _as_lists(matrix):
+    return [list(row) for row in matrix]
+
+
+small_fractions = st.builds(
+    Fraction,
+    st.integers(min_value=-5, max_value=5).filter(lambda n: n != 0),
+    st.integers(min_value=1, max_value=4),
+)
+
+
+@st.composite
+def symbolic_cases(draw):
+    pres = _at_dims(draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+    path = draw(st.sampled_from(BUNDLED_PATHS))
+    parallel = [p for p in BUNDLED_PATHS if (p.tail, p.head) == (path.tail, path.head)]
+    others = draw(st.lists(st.sampled_from(parallel), max_size=2))
+    coefs = draw(st.lists(small_fractions, min_size=len(others) + 1, max_size=len(others) + 1))
+    element = algebra_element(BUNDLED.quiver, path.head, path.tail, zip([path] + others, coefs))
+    return pres, path, element
+
+
+class TestAgainstMatrixFold:
+    @given(symbolic_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_path_element_and_trace(self, case):
+        pres, path, element = case
+        ring = ring_for(pres)
+        want_path = _reference_path_matrix(pres, path)
+        want_element = _reference_element_matrix(pres, element)
+        assert _as_lists(path_matrix(pres, path)) == want_path
+        assert _as_lists(element_matrix(pres, element)) == want_element
+        if path.is_cycle:
+            diagonal = range(len(want_path))
+            assert trace_poly(pres, path) == _fold_sum(ring, (want_path[k][k] for k in diagonal))
+            assert trace_poly(pres, element) == _fold_sum(
+                ring, (want_element[k][k] for k in diagonal)
+            )
+
+    def test_empty_inner_sum_is_zero(self):
+        # ec runs through vertex 1, which has dimension 0 here
+        pres = _at_dims(2, 0)
+        ring = ring_for(pres)
+        ec = path_from_word(pres.quiver, "ec")
+        assert _as_lists(path_matrix(pres, ec)) == [[ring.zero] * 2] * 2
+        assert trace_poly(pres, ec) == ring.zero

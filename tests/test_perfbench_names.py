@@ -1,0 +1,62 @@
+"""The names the benchmark harness reaches into must exist in the package.
+
+``perfbench/spans.py`` wraps functions and methods by name, and
+``perfbench/run.py`` imports a few for its kernel oracle. A rename would break
+every traced job, or the oracle, without failing any other test. These tests
+only read the two harness files.
+"""
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from quivinv.quiver import Presentation
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+SPANS = _load_spans()
+
+
+def _run_imports() -> list[tuple[str, str]]:
+    tree = ast.parse((PERFBENCH / "run.py").read_text("utf-8"))
+    return [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("quivinv")
+        for alias in node.names
+    ]
+
+
+@pytest.mark.parametrize("layer", SPANS.LAYERS)
+def test_traced_layer_is_a_module(layer):
+    importlib.import_module(f"quivinv.{layer}")
+
+
+@pytest.mark.parametrize("module,name", SPANS.FUNCTIONS)
+def test_wrapped_function_exists(module, name):
+    assert callable(getattr(importlib.import_module(f"quivinv.{module}"), name, None))
+
+
+@pytest.mark.parametrize("module,cls,meth", SPANS.METHODS)
+def test_wrapped_method_is_defined_on_its_class(module, cls, meth):
+    assert meth in vars(getattr(importlib.import_module(f"quivinv.{module}"), cls))
+
+
+def test_kernel_oracle_imports_exist():
+    names = _run_imports()
+    assert names
+    for module, name in names:
+        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+    # the oracle looks relations up by name
+    assert callable(vars(Presentation).get("relation"))

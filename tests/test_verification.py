@@ -8,11 +8,13 @@ from quivinv import (
     AlgebraElement,
     BudgetExceededError,
     ComputeBudget,
+    kernel_generators,
     path_from_word,
     ring_for,
     run_verification,
     verification,
 )
+from quivinv.groebner import GroebnerBasis
 
 
 def test_full_suite_passes_on_a1(a1):
@@ -74,7 +76,11 @@ def test_failed_checks_report_the_trials_done(a1, monkeypatch):
     def broken(pres, g, i, j):
         return ring.zero if isinstance(g, AlgebraElement) else ring.one
 
+    def broken_matrix(pres, g):
+        return ((broken(pres, g, 1, 1),) * pres.dims[g.tail],) * pres.dims[g.head]
+
     monkeypatch.setattr(verification, "contraction_poly", broken)
+    monkeypatch.setattr(verification, "element_matrix", broken_matrix)
     rng = random.Random(0)
     product = verification._check_product_law(a1, rng, 50)
     lift = verification._check_lift_independence(a1, rng, 30, None)
@@ -100,6 +106,23 @@ def test_more_failed_checks_report_the_trials_done(a1, monkeypatch):
     assert (rotation.passed, rotation.trials) == (False, 1)
     assert (oracle.passed, oracle.trials) == (False, 1)
     assert (traversal.passed, traversal.trials) == (False, 1)
+
+
+def test_kernel_membership_reports_the_generators_checked(a1, monkeypatch):
+    # no generator reduces to zero, so the check fails on the first one
+    kernel = kernel_generators(a1, 1, 1)
+    monkeypatch.setattr(GroebnerBasis, "reduces_to_zero", lambda self, f, budget=None: False)
+    result = verification._check_kernel_membership(a1, kernel, None)
+    assert len(kernel) > 1
+    assert (result.passed, result.trials) == (False, 1)
+    assert result.witness["generator"] == kernel[0].label
+
+
+def test_path_counts_report_the_quivers_checked(monkeypatch):
+    # no path is ever found, so the first random quiver's arrows disagree
+    monkeypatch.setattr(verification, "enumerate_paths", lambda *args: [])
+    result = verification._check_path_counts(random.Random(0))
+    assert (result.passed, result.trials) == (False, 1)
 
 
 def test_traversal_spends_the_given_budget(a1):
