@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Optional, Sequence
 
@@ -30,56 +29,30 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved CLI invocation."""
+def _budget(args: argparse.Namespace) -> Optional[ComputeBudget]:
+    return None if args.budget is None else ComputeBudget(max_steps=args.budget)
 
-    subcommand: str
-    file: Optional[str] = None
-    frozen_override: Optional[str] = None
-    max_len: int = 2
-    max_u: int = 1
-    max_w: int = 1
-    select: Optional[str] = None
-    compare: Optional[str] = None
-    seed: int = 0
-    format: str = "text"
-    budget_steps: Optional[int] = None
-    mutate: bool = False
 
-    def __post_init__(self):
-        for bound in (self.max_len, self.max_u, self.max_w):
-            if bound < 0:
-                raise QuiverError("bounds must be nonnegative")
-        if self.budget_steps is not None and self.budget_steps < 0:
-            raise QuiverError("budget must be nonnegative")
+def _load(args: argparse.Namespace) -> Presentation:
+    pres = load_presentation(args.file)
+    if args.K is not None:
+        pres = pres.with_frozen([v for v in args.K.split(",") if v != ""])
+    return pres
 
-    @property
-    def budget(self) -> Optional[ComputeBudget]:
-        if self.budget_steps is None:
-            return None
-        return ComputeBudget(max_steps=self.budget_steps)
 
-    def load(self) -> Presentation:
-        pres = load_presentation(self.file)
-        if self.frozen_override is not None:
-            members = [v for v in self.frozen_override.split(",") if v != ""]
-            pres = pres.with_frozen(members)
-        return pres
-
-    def selection(self, pres: Presentation):
-        if self.select is None:
-            return None
-        return [path_from_word(pres.quiver, w) for w in self.select.split(",") if w]
+def _selection(args: argparse.Namespace, pres: Presentation):
+    if args.select is None:
+        return None
+    return [path_from_word(pres.quiver, w) for w in args.select.split(",") if w]
 
 
 def _data_text(name: str) -> str:
     return resources.files("quivinv").joinpath("data").joinpath(name).read_text("utf-8")
 
 
-def _emit(cfg: RunConfig, payload: dict, render: Callable[[dict], list[str]]):
+def _emit(args: argparse.Namespace, payload: dict, render: Callable[[dict], list[str]]):
     """Print the payload as JSON, or as the text lines ``render(payload)``."""
-    if cfg.format == "json":
+    if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for line in render(payload):
@@ -110,32 +83,32 @@ def _verify_lines(payload: dict) -> list[str]:
     return lines
 
 
-def cmd_generators(cfg: RunConfig) -> int:
-    pres = cfg.load()
-    gens = lusztig_generators(pres, cfg.max_len, cfg.selection(pres))
+def cmd_generators(args: argparse.Namespace) -> int:
+    pres = _load(args)
+    gens = lusztig_generators(pres, args.max_len, _selection(args, pres))
     payload = {
         "command": "generators",
         "K": sorted(pres.frozen_vertices),
-        "max_len": cfg.max_len,
+        "max_len": args.max_len,
         "count": len(gens),
         "generators": gens.to_jsonable(),
     }
-    _emit(cfg, payload, _generator_lines)
+    _emit(args, payload, _generator_lines)
     return EXIT_OK
 
 
-def cmd_kernel(cfg: RunConfig) -> int:
-    pres = cfg.load()
-    kernel = kernel_generators(pres, cfg.max_u, cfg.max_w)
+def cmd_kernel(args: argparse.Namespace) -> int:
+    pres = _load(args)
+    kernel = kernel_generators(pres, args.max_u, args.max_w)
     payload = {
         "command": "kernel",
         "K": sorted(pres.frozen_vertices),
-        "max_u": cfg.max_u,
-        "max_w": cfg.max_w,
+        "max_u": args.max_u,
+        "max_w": args.max_w,
         "count": len(kernel),
         "generators": [k.to_jsonable() for k in kernel],
     }
-    _emit(cfg, payload, _generator_lines)
+    _emit(args, payload, _generator_lines)
     return EXIT_OK
 
 
@@ -149,43 +122,43 @@ def _compare_against(ip, compare_text: str, budget: Optional[ComputeBudget]) -> 
     return ideal_equal(ip.elimination_ideal, Ideal(ring, polys), budget=budget)
 
 
-def cmd_present(cfg: RunConfig) -> int:
-    pres = cfg.load()
-    budget = cfg.budget
-    ip = present_invariant_ring(pres, cfg.max_len, cfg.selection(pres), budget)
+def cmd_present(args: argparse.Namespace) -> int:
+    pres = _load(args)
+    budget = _budget(args)
+    ip = present_invariant_ring(pres, args.max_len, _selection(args, pres), budget)
     payload = {
         "command": "present",
         "K": sorted(pres.frozen_vertices),
-        "max_len": cfg.max_len,
+        "max_len": args.max_len,
         **ip.to_jsonable(),
     }
     equal = None
-    if cfg.compare:
-        with open(cfg.compare, "r", encoding="utf-8") as fh:
+    if args.compare:
+        with open(args.compare, "r", encoding="utf-8") as fh:
             equal = _compare_against(ip, fh.read(), budget)
-        payload["compare"] = {"file": cfg.compare, "equal": equal}
-    _emit(cfg, payload, _present_lines)
+        payload["compare"] = {"file": args.compare, "equal": equal}
+    _emit(args, payload, _present_lines)
     return EXIT_OK if equal in (None, True) else EXIT_VERIFY
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    pres = cfg.load()
+def cmd_verify(args: argparse.Namespace) -> int:
+    pres = _load(args)
     report = run_verification(
         pres,
-        seed=cfg.seed,
-        max_len=cfg.max_len,
-        max_u=cfg.max_u,
-        max_w=cfg.max_w,
-        budget=cfg.budget,
-        mutate=cfg.mutate,
+        seed=args.seed,
+        max_len=args.max_len,
+        max_u=args.max_u,
+        max_w=args.max_w,
+        budget=_budget(args),
+        mutate=args.mutate,
     )
-    _emit(cfg, {"command": "verify", **report.to_jsonable()}, _verify_lines)
+    _emit(args, {"command": "verify", **report.to_jsonable()}, _verify_lines)
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
-def cmd_example_a1(cfg: RunConfig) -> int:
+def cmd_example_a1(args: argparse.Namespace) -> int:
     pres = parse_presentation(_data_text("a1_preprojective.quiver"))
-    budget = cfg.budget
+    budget = _budget(args)
     selection = [path_from_word(pres.quiver, w) for w in ("ec", "fc", "fd")]
 
     ideal = rep_ideal(pres)
@@ -194,7 +167,7 @@ def cmd_example_a1(cfg: RunConfig) -> int:
     kernel = kernel_generators(pres, 1, 1)
     ip = present_invariant_ring(pres, 2, selection, budget)
     compare_equal = _compare_against(ip, _data_text("paper13.txt"), budget)
-    report = run_verification(pres, seed=cfg.seed, budget=budget)
+    report = run_verification(pres, seed=args.seed, budget=budget)
 
     payload = {
         "command": "example-a1",
@@ -268,28 +241,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        subcommand=args.subcommand,
-        file=getattr(args, "file", None),
-        frozen_override=getattr(args, "K", None),
-        max_len=getattr(args, "max_len", 2),
-        max_u=getattr(args, "max_u", 1),
-        max_w=getattr(args, "max_w", 1),
-        select=getattr(args, "select", None),
-        compare=getattr(args, "compare", None),
-        seed=args.seed,
-        format=args.format,
-        budget_steps=args.budget,
-        mutate=getattr(args, "mutate", False),
-    )
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(_config_from(args))
+        if min(getattr(args, bound, 0) for bound in ("max_len", "max_u", "max_w")) < 0:
+            raise QuiverError("bounds must be nonnegative")
+        if args.budget is not None and args.budget < 0:
+            raise QuiverError("budget must be nonnegative")
+        return args.func(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

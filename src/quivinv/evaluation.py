@@ -11,16 +11,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Sequence
 
 from .polyring import ARROW, Polynomial, RingError
 from .quiver import Path, Presentation, QuiverError, framed_quiver
 
 Matrix = tuple[tuple[Fraction, ...], ...]
-
-
-def matrix_of(rows) -> Matrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
 def identity_matrix(n: int) -> Matrix:
@@ -88,21 +84,11 @@ class RepPoint:
 
 @dataclass(frozen=True)
 class GroupElement:
-    """An invertible matrix (with exact inverse) per frozen vertex."""
+    """An invertible matrix, with its exact inverse, per vertex; a vertex
+    without a factor carries the identity, so ``GroupElement(())`` is the
+    identity element."""
 
     factors: tuple[tuple[str, Matrix, Matrix], ...]
-
-    @cached_property
-    def _map(self) -> dict[str, tuple[Matrix, Matrix]]:
-        return {v: (g, ginv) for v, g, ginv in self.factors}
-
-    def matrix(self, vertex: str, dim: int) -> Matrix:
-        got = self._map.get(vertex)
-        return got[0] if got else identity_matrix(dim)
-
-    def inverse(self, vertex: str, dim: int) -> Matrix:
-        got = self._map.get(vertex)
-        return got[1] if got else identity_matrix(dim)
 
 
 def random_rep(pres: Presentation, seed: int) -> RepPoint:
@@ -119,7 +105,7 @@ def random_rep(pres: Presentation, seed: int) -> RepPoint:
     return RepPoint(tuple(out))
 
 
-def random_group(pres: Presentation, seed: int, identity: bool = False) -> GroupElement:
+def random_group(pres: Presentation, seed: int) -> GroupElement:
     """Invertible integer matrices at the frozen vertices, with exact inverses."""
     rng = random.Random(seed)
     v = pres.dims
@@ -128,10 +114,6 @@ def random_group(pres: Presentation, seed: int, identity: bool = False) -> Group
         if vertex not in pres.frozen_vertices:
             continue
         n = v[vertex]
-        if identity:
-            g = identity_matrix(n)
-            factors.append((vertex, g, g))
-            continue
         while True:
             g = tuple(
                 tuple(Fraction(rng.randint(-5, 5)) for _ in range(n)) for _ in range(n)
@@ -146,13 +128,17 @@ def random_group(pres: Presentation, seed: int, identity: bool = False) -> Group
 
 
 def act(pres: Presentation, g: GroupElement, point: RepPoint) -> RepPoint:
-    """Conjugation: each arrow matrix maps to g_head * B * g_tail^{-1}."""
+    """Conjugation: each arrow matrix maps to g_head * B * g_tail^{-1},
+    multiplying only at the vertices where g has a factor."""
     v = pres.dims
+    factors = {vertex: (m, inv) for vertex, m, inv in g.factors}
     out = []
     for a in pres.quiver.arrows:
         m = point.matrix(a.name)
-        m = mat_mul(g.matrix(a.head, v[a.head]), m, v[a.tail])
-        m = mat_mul(m, g.inverse(a.tail, v[a.tail]), v[a.tail])
+        if a.head in factors:
+            m = mat_mul(factors[a.head][0], m, v[a.tail])
+        if a.tail in factors:
+            m = mat_mul(m, factors[a.tail][1], v[a.tail])
         out.append((a.name, m))
     return RepPoint(tuple(out))
 
@@ -185,15 +171,19 @@ def eval_poly(f: Polynomial, pres: Presentation, point: RepPoint) -> Fraction:
     return acc
 
 
+def _product(matrix, path: Path, cols: int) -> Matrix:
+    """Product of ``matrix(name)`` along a path whose tail has dimension ``cols``."""
+    if path.is_trivial:
+        return identity_matrix(cols)
+    m = matrix(path.arrows[0])
+    for name in path.arrows[1:]:
+        m = mat_mul(matrix(name), m, cols)
+    return m
+
+
 def path_product(pres: Presentation, point: RepPoint, path: Path) -> Matrix:
     """Direct matrix product along a path: the evaluation oracle."""
-    if path.is_trivial:
-        return identity_matrix(pres.dims[path.tail])
-    cols = pres.dims[path.tail]
-    m = point.matrix(path.arrows[0])
-    for name in path.arrows[1:]:
-        m = mat_mul(point.matrix(name), m, cols)
-    return m
+    return _product(point.matrix, path, pres.dims[path.tail])
 
 
 def framed_point(pres: Presentation, point: RepPoint) -> dict[str, Matrix]:
@@ -222,14 +212,8 @@ def framed_point(pres: Presentation, point: RepPoint) -> dict[str, Matrix]:
 def framed_trace(pres: Presentation, framed_path: Path, point: RepPoint) -> Fraction:
     """Trace of the matrix product along a framed cycle at the framed point."""
     mats = framed_point(pres, point)
-    fq = framed_quiver(pres)
-    if framed_path.is_trivial:
-        return Fraction(fq.dims[framed_path.tail])
-    cols = fq.dims[framed_path.tail]
-    m = mats[framed_path.arrows[0]]
-    for name in framed_path.arrows[1:]:
-        m = mat_mul(mats[name], m, cols)
-    return mat_trace(m)
+    cols = framed_quiver(pres).dims[framed_path.tail]
+    return mat_trace(_product(mats.__getitem__, framed_path, cols))
 
 
 @dataclass
@@ -247,32 +231,32 @@ class CheckResult:
 
 
 def check_invariance(
-    f: Polynomial, pres: Presentation, trials: int, seed: int, name: str = "invariance"
+    entries: Sequence[tuple[str, Polynomial]],
+    pres: Presentation,
+    trials: int,
+    seed: int,
+    name: str = "invariance",
 ) -> CheckResult:
-    """Compare f at a point and at its translate by a random group element,
-    exactly, over seeded trials; reports the first counterexample."""
+    """Compare each ``(label, polynomial)`` entry at a point and at its
+    translate by a random group element, exactly, over seeded trials that
+    every entry shares; reports the first counterexample."""
     if trials < 1:
         raise QuiverError("trials must be >= 1")
+    if not entries:
+        return CheckResult(name, 0, True)
     rng = random.Random(seed)
     for trial in range(trials):
         rep_seed = rng.randrange(2**31)
         grp_seed = rng.randrange(2**31)
         point = random_rep(pres, rep_seed)
-        g = random_group(pres, grp_seed)
-        lhs = eval_poly(f, pres, act(pres, g, point))
-        rhs = eval_poly(f, pres, point)
-        if lhs != rhs:
-            return CheckResult(
-                name,
-                trial + 1,
-                False,
-                {
-                    "trial": trial,
-                    "rep_seed": rep_seed,
-                    "group_seed": grp_seed,
-                    "moved": str(lhs),
-                    "original": str(rhs),
-                    "polynomial": str(f),
-                },
-            )
+        moved = act(pres, random_group(pres, grp_seed), point)
+        for label, f in entries:
+            lhs = eval_poly(f, pres, moved)
+            rhs = eval_poly(f, pres, point)
+            if lhs != rhs:
+                witness = dict(
+                    trial=trial, rep_seed=rep_seed, group_seed=grp_seed, generator=label,
+                    moved=str(lhs), original=str(rhs), polynomial=str(f),
+                )
+                return CheckResult(name, trial + 1, False, witness)
     return CheckResult(name, trials, True)

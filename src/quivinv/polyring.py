@@ -332,14 +332,6 @@ class Polynomial:
             terms.append((tuple(exps), c))
         return target.polynomial(terms)
 
-    def monic(self) -> "Polynomial":
-        if self.is_zero:
-            return self
-        lc = self.leading_coefficient
-        if lc == 1:
-            return self
-        return Polynomial(self.ring, tuple((m, c / lc) for m, c in self.terms))
-
     # -- arithmetic ----------------------------------------------------------
 
     def _check(self, other: "Polynomial"):

@@ -142,17 +142,6 @@ def _check_eval_oracle(pres: Presentation, rng: random.Random, trials: int) -> C
     return CheckResult("evaluation_oracle", trials, True)
 
 
-def _check_generator_invariance(
-    pres: Presentation, entries, trials: int, rng: random.Random, name: str
-) -> CheckResult:
-    for label, poly in entries:
-        result = check_invariance(poly, pres, trials, rng.randrange(2**31), name)
-        if not result.passed:
-            result.witness["generator"] = label
-            return result
-    return CheckResult(name, trials, True)
-
-
 def _check_kernel_membership(
     pres: Presentation, kernel, budget: Optional[ComputeBudget]
 ) -> CheckResult:
@@ -352,7 +341,6 @@ def run_verification(
     max_len: int = 2,
     max_u: int = 1,
     max_w: int = 1,
-    invariance_trials: int = 20,
     budget: Optional[ComputeBudget] = None,
     mutate: bool = False,
 ) -> VerificationReport:
@@ -372,24 +360,14 @@ def run_verification(
     report.checks.append(_check_trace_rotation(pres, rng, 50))
     report.checks.append(_check_eval_oracle(pres, rng, 30))
     lusztig = lusztig_generators(pres, max_len) if max_len >= 1 else []
+    entries = [(e.label, e.polynomial) for e in lusztig]
     report.checks.append(
-        _check_generator_invariance(
-            pres,
-            [(e.label, e.polynomial) for e in lusztig],
-            invariance_trials,
-            rng,
-            "lusztig_invariance",
-        )
+        check_invariance(entries, pres, 20, rng.randrange(2**31), "lusztig_invariance")
     )
     kernel = kernel_generators(gen_pres, max_u, max_w)
+    entries = [(k.label, k.polynomial) for k in kernel]
     report.checks.append(
-        _check_generator_invariance(
-            pres,
-            [(k.label, k.polynomial) for k in kernel],
-            invariance_trials,
-            rng,
-            "kernel_invariance",
-        )
+        check_invariance(entries, pres, 20, rng.randrange(2**31), "kernel_invariance")
     )
     report.checks.append(_check_kernel_membership(pres, kernel, budget))
     report.checks.append(_check_traversal(pres, rng, 30, budget))

@@ -72,6 +72,11 @@ def shipped():
         return parse_presentation(fh.read())
 
 
+def monic(p):
+    """p scaled so that its leading coefficient is 1."""
+    return p * (1 / p.leading_coefficient)
+
+
 def report(number: int, label: str, elapsed: float = None):
     timing = f" ({elapsed:.2f}s)" if elapsed is not None else ""
     print(f"ACCEPTANCE {number} PASS: {label}{timing}")
@@ -86,8 +91,8 @@ def test_criterion_1_representation_ideal(shipped):
     payload = json.loads(proc.stdout)
     assert payload["count"] == 8
     ring = ring_for(shipped)
-    got = {str(ring.parse(g["polynomial"]).monic()) for g in payload["generators"]}
-    want = {str(ring.parse(s).monic()) for s in KERNEL_8}
+    got = {str(monic(ring.parse(g["polynomial"]))) for g in payload["generators"]}
+    want = {str(monic(ring.parse(s))) for s in KERNEL_8}
     assert got == want
     assert elapsed < 1.0, f"took {elapsed:.2f}s, budget 1s"
     report(1, "kernel at bound (0,0) with nothing frozen equals the 8 displayed generators", elapsed)

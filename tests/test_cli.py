@@ -140,6 +140,11 @@ class TestPresent:
         assert code == 3
         assert "budget" in err
 
+    def test_negative_budget_is_input_error(self, capsys, a1_file):
+        code, out, err = run(capsys, "present", str(a1_file), "--budget", "-1")
+        assert (code, out) == (2, "")
+        assert "budget must be nonnegative" in err
+
     def test_budget_covers_the_compare_step(self, capsys, kronecker_file, tmp_path):
         # the elimination takes 2 reduction steps and the reference's basis
         # one more, so a cap of 2 must stop the comparison
@@ -183,6 +188,11 @@ class TestVerify:
         payload = json.loads(out)
         assert code == 0
         assert [c["name"] for c in payload["checks"] if not c["pass"]] == []
+
+    def test_negative_bound_is_input_error(self, capsys, a1_file):
+        code, out, err = run(capsys, "verify", str(a1_file), "--max-len", "-1")
+        assert (code, out) == (2, "")
+        assert "bounds must be nonnegative" in err
 
     def test_seed_changes_are_echoed(self, capsys, a1_file):
         _, out, _ = run(capsys, "verify", str(a1_file), "--seed", "99", "--format", "json")

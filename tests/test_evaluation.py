@@ -26,11 +26,14 @@ from quivinv.evaluation import (
     mat_inverse,
     mat_mul,
     mat_trace,
-    matrix_of,
     path_product,
 )
 from quivinv.invariants import framed_correspondence
 from quivinv.quiver import DimensionVector, Presentation
+
+
+def matrix_of(rows):
+    return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
 class TestMatrices:
@@ -88,10 +91,6 @@ class TestRandomGroup:
     def test_reproducible(self, a1):
         assert random_group(a1, 9) == random_group(a1, 9)
 
-    def test_identity_mode(self, a1):
-        g = random_group(a1, 0, identity=True)
-        assert g.factors == (("1", identity_matrix(2), identity_matrix(2)),)
-
     def test_one_dimensional_factor_is_nonzero(self, a1):
         import warnings
 
@@ -107,8 +106,20 @@ class TestRandomGroup:
 class TestAction:
     def test_identity_acts_trivially(self, a1):
         b = random_rep(a1, 7)
-        g = random_group(a1, 0, identity=True)
-        assert act(a1, g, b) == b
+        assert act(a1, GroupElement(()), b) == b
+        one = identity_matrix(2)
+        assert act(a1, GroupElement((("1", one, one),)), b) == b
+
+    def test_missing_factors_act_as_identity(self, a1):
+        # a factor at vertex 0 only, against the same element with an
+        # explicit identity factor added at vertex 1
+        both = a1.with_frozen(["0", "1"])
+        b = random_rep(both, 6)
+        at_0 = next(f for f in random_group(both, 12).factors if f[0] == "0")
+        one = identity_matrix(2)
+        explicit = GroupElement((at_0, ("1", one, one)))
+        assert act(both, GroupElement((at_0,)), b) == act(both, explicit, b)
+        assert act(both, GroupElement((at_0,)), b) != b
 
     def test_action_is_a_group_action(self, a1):
         b = random_rep(a1, 8)
@@ -163,24 +174,57 @@ class TestEval:
 class TestInvariance:
     def test_trace_of_cycle_is_invariant(self, a1):
         f = trace_poly(a1, path_from_word(a1.quiver, "ec"))
-        assert check_invariance(f, a1, 20, seed=0).passed
+        assert check_invariance([("tr.ec", f)], a1, 20, seed=0).passed
 
     def test_single_entry_is_not_invariant(self, a1):
         f = ring_for(a1).parse("x[c;1,1]")
-        result = check_invariance(f, a1, 20, seed=0)
+        result = check_invariance([("c[1,1]", f)], a1, 20, seed=0)
         assert not result.passed
         assert result.witness is not None
         assert "trial" in result.witness
 
+    def test_failing_entry_among_invariant_ones_is_named(self, a1):
+        ring = ring_for(a1)
+        traces = [(w, trace_poly(a1, path_from_word(a1.quiver, w))) for w in ("ec", "fd")]
+        entries = traces[:1] + [("c[1,1]", ring.parse("x[c;1,1]"))] + traces[1:]
+        result = check_invariance(entries, a1, 20, seed=0)
+        assert (result.passed, result.trials) == (False, 1)
+        assert result.witness["generator"] == "c[1,1]"
+        assert result.witness["polynomial"] == "x[c;1,1]"
+
+    def test_trials_are_shared_by_all_entries(self, a1, monkeypatch):
+        # one action per trial, and each entry evaluated at both points
+        counts = {"eval_poly": 0, "act": 0}
+
+        def counted(name):
+            real = getattr(evaluation, name)
+
+            def wrapped(*args):
+                counts[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(evaluation, name, wrapped)
+
+        counted("eval_poly")
+        counted("act")
+        ring = ring_for(a1)
+        entries = [(str(k), ring.constant(k)) for k in range(3)]
+        assert check_invariance(entries, a1, 7, seed=2).passed
+        assert counts == {"eval_poly": 2 * 3 * 7, "act": 7}
+
+    def test_no_entries_means_no_trials(self, a1):
+        result = check_invariance([], a1, 20, seed=0)
+        assert (result.passed, result.trials) == (True, 0)
+
     def test_constant_is_invariant(self, a1):
         f = ring_for(a1).constant(Fraction(5, 3))
-        assert check_invariance(f, a1, 5, seed=1).passed
+        assert check_invariance([("5/3", f)], a1, 5, seed=1).passed
 
     def test_failure_reports_the_trials_done(self, a1, monkeypatch):
         # every evaluation gives a new value, so the first trial fails
         values = itertools.count()
         monkeypatch.setattr(evaluation, "eval_poly", lambda f, pres, point: next(values))
-        result = check_invariance(ring_for(a1).one, a1, 20, seed=0)
+        result = check_invariance([("1", ring_for(a1).one)], a1, 20, seed=0)
         assert (result.passed, result.trials, result.witness["trial"]) == (False, 1, 0)
 
 

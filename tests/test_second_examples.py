@@ -127,6 +127,7 @@ class TestLoopVerificationSuite:
         by_name = {c.name: c for c in report.checks}
         assert by_name["lusztig_invariance"].trials == 20
         assert by_name["kernel_membership"].trials == 0  # no relations
+        assert by_name["kernel_invariance"].trials == 0
 
 
 class TestReferenceTranscriptionCrossCheck:

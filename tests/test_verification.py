@@ -66,6 +66,7 @@ def test_arrowless_quiver_passes_vacuously():
     assert report.passed
     trials = {c.name: c.trials for c in report.checks}
     assert trials["product_law"] == 0 and trials["traversal"] == 0
+    assert trials["lusztig_invariance"] == 0 and trials["kernel_invariance"] == 0
 
 
 def test_failed_checks_report_the_trials_done(a1, monkeypatch):
