@@ -6,8 +6,11 @@ sugar-degree selection.  Inside the engine a monomial is a pair of plain ints,
 its order key and its packed exponent vector (see :class:`_Packing`), so that
 multiplying, dividing and comparing monomials are a few int operations;
 :class:`Polynomial` keeps exponent tuples, and the conversion happens only on
-the way in and out.  Reduction work is metered by a :class:`ComputeBudget`
-and aborts with :class:`BudgetExceededError` rather than truncating silently.
+the way in and out.  Reducers are looked up through a divisor index
+(:class:`_Reducers`) that narrows the candidates by which variables a term
+lacks and returns the same first divisor a linear scan would.  Reduction
+work is metered by a :class:`ComputeBudget` and aborts with
+:class:`BudgetExceededError` rather than truncating silently.
 Everything runs sequentially; the reduced basis is unique per order, so the
 printed result is deterministic by construction.
 """
@@ -180,31 +183,91 @@ def _reducer_of(terms: list, shift: int, sugar: Optional[int] = None) -> _Reduce
     return _Reducer(lk, lm, lm >> shift, lc, terms, terms[1:], sugar)
 
 
-def _find_reducer(reducers: list[_Reducer], guarded: int, g: int) -> Optional[_Reducer]:
-    """The first reducer whose leading monomial divides ``guarded ^ g``."""
-    for r in reducers:
-        if (guarded - r.lm) & g == g:
-            return r
-    return None
+_CHUNK = 4  # variables per chunk of the divisor index: 2**_CHUNK table entries each
+
+
+def _subsets(bits: int):
+    """Every int whose set bits are a subset of those of ``bits``."""
+    sub = bits
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & bits
+
+
+class _Reducers:
+    """Reducers in order, with a divisor index over their leading monomials.
+
+    :meth:`find` returns the first reducer, by position, whose lead divides a
+    monomial, as a linear scan would.  A lead divides m only if it is zero at
+    every variable where m is zero.  The variables are cut into chunks of
+    _CHUNK; per chunk, a table maps each pattern of the chunk's guard bits to
+    the bitset of reducers (bit r for reducer r) whose lead is zero at every
+    variable of the pattern.  One lookup and one AND per chunk, keyed by m's
+    zero pattern, leaves the candidates, tested lowest bit first.
+    """
+
+    def __init__(self, packing: _Packing, reducers: Iterable[_Reducer] = ()):
+        self.packing = packing
+        self.reducers: list[_Reducer] = []
+        self._tables = []  # (the chunk's guard bits, pattern -> reducer bitset)
+        first = (1 << _CHUNK * packing.stride) - 1  # the fields of variables 0.._CHUNK-1
+        for start in range(0, packing.nvars, _CHUNK):
+            mask = packing.guard & (first << start * packing.stride)
+            self._tables.append((mask, dict.fromkeys(_subsets(mask), 0)))
+        for r in reducers:
+            self.append(r)
+
+    def _zeros(self, guarded: int) -> int:
+        """The guard bits of the fields that are zero in ``guarded ^ guard``."""
+        g = self.packing.guard
+        return g ^ ((guarded - self.packing.ones) & g)
+
+    def append(self, r: _Reducer):
+        bit = 1 << len(self.reducers)
+        self.reducers.append(r)
+        zeros = self._zeros(r.lm | self.packing.guard)
+        for mask, table in self._tables:
+            for pattern in _subsets(zeros & mask):
+                table[pattern] |= bit
+
+    def find(self, m: int, skip: int = 0) -> Optional[_Reducer]:
+        """The first reducer not in the bitset ``skip`` whose lead divides m."""
+        g = self.packing.guard
+        guarded = m | g
+        zeros = self._zeros(guarded)
+        cand = ((1 << len(self.reducers)) - 1) & ~skip
+        for mask, table in self._tables:
+            cand &= table[zeros & mask]
+        reducers = self.reducers
+        while cand:
+            low = cand & -cand
+            r = reducers[low.bit_length() - 1]
+            if (guarded - r.lm) & g == g:
+                return r
+            cand ^= low
+        return None
 
 
 def _normal_form(
-    f: list, reducers: list[_Reducer], packing: _Packing, budget: ComputeBudget, sugar: int = 0
+    f: list, reducers: _Reducers, budget: ComputeBudget, sugar: int = 0, skip: int = 0
 ):
-    """Fraction-free full reduction.
+    """Fraction-free full reduction by the reducers not in the bitset ``skip``.
 
     Returns (emitted, alpha, sugar) where emitted is a list of
     (K, E, coeff, alpha_at_emission): the true normal form of f has
     rational coefficients coeff / alpha_at_emission, and alpha * f is
     congruent to the integer polynomial assembled by :func:`_nf_int`.
     """
-    g, shift, limit = packing.guard, packing.shift, packing.limit
+    packing = reducers.packing
+    shift, limit = packing.shift, packing.limit
     out: list = []
     work = f[::-1]  # ascending: the leading term is popped off the end
     alpha = 1
     while work:
         k, m, c = work.pop()
-        red = _find_reducer(reducers, m | g, g)
+        red = reducers.find(m, skip)
         if red is None:
             out.append((k, m, c, alpha))
             continue
@@ -243,7 +306,8 @@ def _poly_sort_key(terms: list):
 def _buchberger(inputs: list[list], packing: _Packing, budget: ComputeBudget) -> list[list]:
     """Reduced Groebner basis of the given engine polynomials."""
     g, shift = packing.guard, packing.shift
-    basis: list[_Reducer] = []
+    reducers = _Reducers(packing)
+    basis = reducers.reducers
     pairs: dict[tuple[int, int], int] = {}  # (i,j) -> E of the lcm
     heap: list = []  # (sugar, lcm K, i, j); may hold pruned entries
 
@@ -283,7 +347,7 @@ def _buchberger(inputs: list[list], packing: _Packing, budget: ComputeBudget) ->
                 raise _Overflow
             pairs[(i, t)] = L
             heapq.heappush(heap, (sug, packing.key(L), i, t))
-        basis.append(h)
+        reducers.append(h)
 
     for f in sorted(inputs, key=_poly_sort_key, reverse=True):
         if f:
@@ -298,7 +362,7 @@ def _buchberger(inputs: list[list], packing: _Packing, budget: ComputeBudget) ->
         s = _spoly(basis[i], basis[j], lk, lm)
         if not s:
             continue
-        emitted, alpha, hsug = _normal_form(s, basis, packing, budget, sug)
+        emitted, alpha, hsug = _normal_form(s, reducers, budget, sug)
         if emitted:
             add_element(_primitive(_nf_int(emitted, alpha)), hsug)
 
@@ -306,20 +370,19 @@ def _buchberger(inputs: list[list], packing: _Packing, budget: ComputeBudget) ->
 
 
 def _interreduce(polys: list[list], packing: _Packing, budget: ComputeBudget) -> list[list]:
-    g, shift = packing.guard, packing.shift
+    shift = packing.shift
     polys = [p for p in polys if p]
     polys.sort(key=lambda p: (p[0][0], _poly_sort_key(p)))
-    minimal: list[list] = []
-    for p in polys:
-        guarded = p[0][1] | g
-        if not any((guarded - q[0][1]) & g == g for q in minimal):
-            minimal.append(p)
+    index = _Reducers(packing)
+    for p in polys:  # keep the leads no kept lead divides
+        if index.find(p[0][1]) is None:
+            index.append(_reducer_of(p, shift))
     # each element is reduced by the others as they stand, earlier ones
-    # already reduced; only the reducer of the element just reduced changes
-    reducers = [_reducer_of(p, shift) for p in minimal]
+    # already reduced; no other lead divides an element's lead, so reducing
+    # keeps it and the index stays valid as each element is replaced
+    reducers = index.reducers
     for idx, r in enumerate(reducers):
-        others = reducers[:idx] + reducers[idx + 1 :]
-        emitted, alpha, _ = _normal_form(r.terms, others, packing, budget)
+        emitted, alpha, _ = _normal_form(r.terms, index, budget, skip=1 << idx)
         reducers[idx] = _reducer_of(_primitive(_nf_int(emitted, alpha)), shift)
     return sorted((r.terms for r in reducers), key=lambda p: p[0][0])
 
@@ -331,7 +394,8 @@ class GroebnerBasis:
     """The unique reduced, monic Groebner basis for an ideal and order.
 
     ``packing`` is the monomial encoding the basis was computed with;
-    :meth:`normal_form` repacks the basis wider when an input needs it.
+    :meth:`normal_form` repacks the basis, and rebuilds its divisor index,
+    wider when an input needs it.
     """
 
     def __init__(self, ring: PolynomialRing, order: MonomialOrder, packing, engine_polys: list[list]):
@@ -341,8 +405,7 @@ class GroebnerBasis:
             ring.polynomial([(packing.unpack(e), Fraction(c, p[0][2])) for _, e, c in p])
             for p in engine_polys
         )
-        self._packing = packing
-        self._reducers = [_reducer_of(p, packing.shift) for p in engine_polys]
+        self._reducers = _Reducers(packing, (_reducer_of(p, packing.shift) for p in engine_polys))
 
     def __len__(self) -> int:
         return len(self.polys)
@@ -357,16 +420,18 @@ class GroebnerBasis:
         budget = budget or ComputeBudget()
         spent = budget.steps_used
         while True:
-            packing = self._packing
+            packing = self._reducers.packing
             try:
                 engine_f, denom = _to_engine(f, packing)
-                emitted, _, _ = _normal_form(engine_f, self._reducers, packing, budget)
+                emitted, _, _ = _normal_form(engine_f, self._reducers, budget)
                 break
             except _Overflow:
                 budget.steps_used = spent
-                self._packing = wider = _Packing(self.order, self.ring.nvars, 2 * packing.bits)
+                wider = _Packing(self.order, self.ring.nvars, 2 * packing.bits)
                 engine_polys = [_primitive(_to_engine(p, wider)[0]) for p in self.polys]
-                self._reducers = [_reducer_of(p, wider.shift) for p in engine_polys]
+                self._reducers = _Reducers(
+                    wider, (_reducer_of(p, wider.shift) for p in engine_polys)
+                )
         return self.ring.polynomial(
             [(packing.unpack(m), Fraction(c, a * denom)) for _, m, c, a in emitted]
         )

@@ -1,6 +1,6 @@
 import pytest
 
-from quivinv import parse_presentation
+from quivinv import ComputeBudget, parse_presentation, present_invariant_ring
 
 A1_TEXT = """
 [vertices] 0 1
@@ -23,6 +23,18 @@ g2 = d*e - c*f
 def a1():
     """The doubled two-vertex quiver with preprojective relations, v = (2,2), K = {1}."""
     return parse_presentation(A1_TEXT)
+
+
+@pytest.fixture(scope="session")
+def a1_presented_budget():
+    """The budget ``a1_presented`` spends; its counters are read after that fixture ran."""
+    return ComputeBudget()
+
+
+@pytest.fixture(scope="session")
+def a1_presented(a1, a1_presented_budget):
+    """The worked-example invariant presentation on ec, fc, fd (computed once; ~1 s)."""
+    return present_invariant_ring(a1, 2, select=["ec", "fc", "fd"], budget=a1_presented_budget)
 
 
 @pytest.fixture()

@@ -1,5 +1,7 @@
 import inspect
 from fractions import Fraction
+from itertools import product
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +17,7 @@ from quivinv import (
     fresh_var,
     ideal_equal,
 )
-from quivinv.groebner import _Packing
+from quivinv.groebner import _Packing, _Reducers, _reducer_of
 from test_polyring import NVARS, monomials, orders
 
 LEX = MonomialOrder.lex()
@@ -303,7 +305,7 @@ class TestWideExponents:
         restarted = ComputeBudget()
         gb = ideal.groebner_basis(LEX, restarted)
         assert set(gb.polys) == {X - Z**64, Y - Z**8}
-        assert gb._packing.limit > 64
+        assert gb._reducers.packing.limit > 64
 
         def wide_packing(order, nvars, bits):
             return _Packing(order, nvars, 3 * bits)
@@ -315,7 +317,72 @@ class TestWideExponents:
 
     def test_normal_form_repacks_the_basis_wider(self):
         gb = Ideal(R, [X - Y**3]).groebner_basis(LEX)
-        limit = gb._packing.limit
+        limit = gb._reducers.packing.limit
         assert gb.normal_form(X**6) == Y**18  # reduction outgrows the width
         assert gb.normal_form(Z**1000 * X) == Z**1000 * Y**3  # so does the input
-        assert gb._packing.limit > 1000 > limit
+        assert gb._reducers.packing.limit > 1000 > limit
+
+
+def first_divisor(reducers, m, guard, skip=0):
+    """The linear scan the divisor index replaces, kept as its reference:
+    the first reducer not in the bitset ``skip`` whose lead divides m."""
+    guarded = m | guard
+    for i, r in enumerate(reducers):
+        if not skip >> i & 1 and (guarded - r.lm) & guard == guard:
+            return r
+    return None
+
+
+class ScanReducers(_Reducers):
+    """The engine's reducers, looked up by the reference scan."""
+
+    def find(self, m, skip=0):
+        return first_divisor(self.reducers, m, self.packing.guard, skip)
+
+
+class TestReducerIndex:
+    """``_Reducers.find`` returns the reducer the linear scan returns."""
+
+    # 0, 1 and 9 variables leave a partial index chunk; 0 leaves none at all
+    @given(orders, st.sampled_from([0, 1, 5, 9]), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_find_is_the_first_divisor(self, order, nvars, data):
+        packing = _Packing(order, nvars, 6)
+        exponents = st.builds(tuple, st.lists(st.integers(0, 2), min_size=nvars, max_size=nvars))
+        index = _Reducers(packing)
+        for _ in range(data.draw(st.integers(1, 8))):
+            for lead in data.draw(st.lists(exponents, max_size=5)):
+                index.append(_reducer_of([(*packing.pack(lead), 1)], packing.shift))
+            m = packing.pack(data.draw(exponents))[1]
+            skip = data.draw(st.integers(0, (1 << len(index.reducers)) - 1))
+            for s in (0, skip):
+                assert index.find(m, s) is first_divisor(index.reducers, m, packing.guard, s)
+
+    @given(orders, st.lists(small_polys, min_size=1, max_size=3))
+    @settings(max_examples=25, deadline=None)
+    def test_engine_does_the_work_of_the_scan(self, order, gens):
+        def run():
+            budget = ComputeBudget(max_steps=200_000)
+            gb = Ideal(R, gens).groebner_basis(order, budget)
+            forms = [gb.normal_form(f) for f in ((X + Y + Z) ** 3, X * Y * Z - 1)]
+            return gb.polys, forms, budget.pairs_used, budget.steps_used
+
+        got = run()
+        with patch.object(groebner, "_Reducers", ScanReducers):
+            assert run() == got
+
+    def test_index_after_normal_form_repacks_wider(self):
+        gens = [X - Y**3, Y * Z - Z]
+        f = Z**1000 * X + X**2 * Z
+        gb = Ideal(R, gens).groebner_basis(LEX)
+        got = gb.normal_form(f)
+        assert got == Z**1000 + Z
+        with patch.object(groebner, "_Reducers", ScanReducers):
+            reference = Ideal(R, gens).groebner_basis(LEX)
+            assert reference.normal_form(f) == got
+            assert isinstance(reference._reducers, ScanReducers)
+        index = gb._reducers
+        assert index.packing.limit > 1000 and type(index) is _Reducers
+        for m in product(range(4), repeat=R.nvars):
+            e = index.packing.pack(m)[1]
+            assert index.find(e) is first_divisor(index.reducers, e, index.packing.guard)

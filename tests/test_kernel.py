@@ -28,12 +28,6 @@ from quivinv import (
 )
 
 
-@pytest.fixture(scope="module")
-def a1_presented(a1):
-    """The worked-example invariant presentation (computed once; ~10 s)."""
-    return present_invariant_ring(a1, 2, select=["ec", "fc", "fd"])
-
-
 class TestKernelGenerators:
     def test_bounds_zero_with_frozen_vertex(self, a1):
         got = kernel_generators(a1, 0, 0)
@@ -200,3 +194,10 @@ def test_engine_work_on_the_a1_file_at_dims_2_1_is_pinned():
     ip = present_invariant_ring(pres, 2, budget=budget)
     assert (budget.pairs_used, budget.steps_used) == (1639, 3850)
     assert len(ip.elimination_ideal.generators) == 37
+
+
+def test_engine_work_on_the_worked_example_is_pinned(a1_presented, a1_presented_budget):
+    # the block-order elimination behind the worked example (ec, fc, fd at
+    # dims (2,2)) does a fixed amount of work, like the dims (2,1) case above
+    assert (a1_presented_budget.pairs_used, a1_presented_budget.steps_used) == (4568, 70156)
+    assert len(a1_presented.elimination_ideal.generators) == 23

@@ -1,8 +1,12 @@
+import warnings
 from fractions import Fraction
+from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quivinv import QuiverFileError, parse_presentation
+from quivinv import QuiverFileError, RingError, parse_presentation
+from quivinv.quiver import ConnectivityWarning
 from quivinv.quiverfile import load_presentation
 
 from conftest import A1_TEXT
@@ -132,3 +136,43 @@ class TestCoefficientsAndTrivialTerms:
         text = A1_TEXT.replace("[K] 1", "[K] 1  # the acting vertex\n\n# comment line")
         pres = parse_presentation(text)
         assert pres.frozen_vertices == frozenset({"1"})
+
+
+BUNDLED = resources.files("quivinv").joinpath("data", "a1_preprojective.quiver").read_text("utf-8")
+
+# (kind, position, character): positions wrap around the text's length;
+# characters mostly come from the file itself, so edits reach every section
+edits = st.lists(
+    st.tuples(
+        st.sampled_from(["delete", "insert", "replace"]),
+        st.integers(min_value=0, max_value=len(BUNDLED)),
+        st.one_of(st.sampled_from(sorted(set(BUNDLED))), st.characters()),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def mutate(text, edit_list):
+    for kind, pos, char in edit_list:
+        pos %= len(text) + 1
+        if kind == "insert":
+            text = text[:pos] + char + text[pos:]
+        elif pos < len(text):
+            text = text[:pos] + ("" if kind == "delete" else char) + text[pos + 1 :]
+    return text
+
+
+class TestFuzz:
+    @given(edits)
+    @settings(max_examples=400, deadline=None)
+    def test_mutated_file_raises_only_documented_errors(self, edit_list):
+        text = mutate(BUNDLED, edit_list)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConnectivityWarning)
+            try:
+                parse_presentation(text)
+            except QuiverFileError as exc:
+                assert 0 <= exc.line <= len(text.splitlines()), str(exc)
+            except RingError:
+                pass

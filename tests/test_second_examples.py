@@ -131,11 +131,11 @@ class TestLoopVerificationSuite:
 
 
 class TestReferenceTranscriptionCrossCheck:
-    def test_reference_relations_vanish_on_the_scheme(self, a1):
+    def test_reference_relations_vanish_on_the_scheme(self, a1, a1_presented):
         """Substitute the generator dictionary into each reference relation
         and reduce modulo the scheme ideal: an independent route that never
         touches the fresh-ring bases, so a transcription typo cannot hide."""
-        ip = present_invariant_ring(a1, 2, select=["ec", "fc", "fd"])
+        ip = a1_presented
         text = (
             resources.files("quivinv").joinpath("data/paper13.txt").read_text("utf-8")
         )
