@@ -205,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--K", default=None, help="override the frozen vertex set (comma list; empty for none)")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--budget", type=int, default=None, help="reduction-step cap for the basis engine")
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("generators", help="invariant-ring generators up to a length bound")
     common(p)
@@ -228,6 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the seeded verification suite")
     common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-len", type=int, default=2, dest="max_len")
     p.add_argument("--max-u", type=int, default=1, dest="max_u")
     p.add_argument("--max-w", type=int, default=1, dest="max_w")
@@ -236,6 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("example-a1", help="run the bundled worked example end to end")
     common(p, with_file=False)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_example_a1)
 
     return parser

@@ -63,8 +63,8 @@ class _Packing:
     K is a linear form sum(e_i * w_i) whose integer order is the monomial
     order.  With W = 2**bits, lex uses w_i = W**(n-1-i) and degrevlex
     w_i = W**n - W**i (the degree on top, reversed exponents subtracted below
-    it); a block order uses those forms per block, the front block scaled
-    above any back-block key.  E holds exponent i in bits
+    it); a block order uses the degrevlex form per block, the front block
+    scaled above any back-block key.  E holds exponent i in bits
     [i*(bits+1), i*(bits+1)+bits), each field topped by a zero guard bit, and
     the total degree above all fields, so b divides a iff
     ((a | guard) - b) & guard == guard.  A product of monomials adds the Ks
@@ -81,16 +81,17 @@ class _Packing:
         self.guard = self.ones << bits
         W = self.limit
         if order.scheme != "block":
-            blocks = [(range(nvars), order.scheme, 1)]
+            blocks = [(range(nvars), 1)]
         else:
             back = [i for i in range(nvars) if i not in order.front]
             front = sorted(i for i in order.front if i < nvars)
-            blocks = [(front, "degrevlex", W ** (len(back) + 1)), (back, order.back, 1)]
+            blocks = [(front, W ** (len(back) + 1)), (back, 1)]
         self.weights = [0] * nvars
-        for block, scheme, scale in blocks:
+        lex = order.scheme == "lex"
+        for block, scale in blocks:
             n = len(block)
             for k, i in enumerate(block):
-                self.weights[i] = scale * (W ** (n - 1 - k) if scheme == "lex" else W**n - W**k)
+                self.weights[i] = scale * (W ** (n - 1 - k) if lex else W**n - W**k)
 
     def pack(self, m: tuple[int, ...]) -> tuple[int, int]:
         e = sum(m)
@@ -505,12 +506,7 @@ def eliminate(
     )
 
 
-def ideal_equal(
-    left: Ideal,
-    right: Ideal,
-    order: Optional[MonomialOrder] = None,
-    budget: Optional[ComputeBudget] = None,
-) -> bool:
+def ideal_equal(left: Ideal, right: Ideal, budget: Optional[ComputeBudget] = None) -> bool:
     """Whether two ideals of the same ring are equal.
 
     Equivalent to mutual membership of generators; decided by comparing the
@@ -518,7 +514,7 @@ def ideal_equal(
     """
     if left.ring != right.ring:
         raise RingError("ideals live in different rings")
-    order = order or left.ring.ambient_order
+    order = left.ring.ambient_order
     return (
         left.groebner_basis(order, budget).polys
         == right.groebner_basis(order, budget).polys

@@ -47,6 +47,45 @@ def fresh_var(name: str, row: int, col: int) -> Variable:
     return Variable(FRESH, name, row, col)
 
 
+_SPACE = re.compile(r"\s*")
+_SIGNS = re.compile(r"[-+\s]*")
+
+
+def signed_products(text: str, factor: re.Pattern) -> list[tuple[int, list[re.Match]]]:
+    """Read ``text`` as a signed sum of products: ``[(sign, factor matches)]``.
+
+    Terms are separated by one or more ``+``/``-``; each ``-`` flips the sign
+    of the term after it, and the first term may carry signs too.  Factors are
+    matches of ``factor`` (which must not match the empty string), separated by
+    ``*``, by whitespace or by nothing; a ``*`` stands only between two factors.
+    Raises ValueError on a dangling sign or ``*``, on text that no factor
+    matches, and on empty text.
+    """
+    terms: list[tuple[int, list[re.Match]]] = []
+    pos = 0
+    while True:
+        signs = _SIGNS.match(text, pos)
+        pos = signs.end()
+        if pos == len(text):
+            if signs.group().strip():
+                raise ValueError("dangling sign at end of expression")
+            if not terms:
+                raise ValueError("empty expression")
+            return terms
+        factors = []
+        while True:
+            f = factor.match(text, pos)
+            if f is None:
+                raise ValueError(f"expected a factor near {text[pos:pos + 16]!r}")
+            factors.append(f)
+            pos = _SPACE.match(text, f.end()).end()
+            if text.startswith("*", pos):
+                pos = _SPACE.match(text, pos + 1).end()
+            elif not factor.match(text, pos):
+                break
+        terms.append((-1 if signs.group().count("-") % 2 else 1, factors))
+
+
 def _degrevlex_key(exps: tuple[int, ...]):
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
@@ -55,21 +94,17 @@ def _degrevlex_key(exps: tuple[int, ...]):
 class MonomialOrder:
     """lex, degrevlex, or a block elimination order.
 
-    A block order compares the front-block exponents first (by degrevlex
-    restricted to the front variables), then the rest by the back scheme; any
-    monomial involving a front variable therefore dominates every monomial in
-    the remaining variables.
+    A block order compares the front-block exponents first, then the rest,
+    each by degrevlex; any monomial involving a front variable therefore
+    dominates every monomial in the remaining variables.
     """
 
     scheme: str
     front: frozenset[int] = frozenset()
-    back: str = "degrevlex"
 
     def __post_init__(self):
         if self.scheme not in ("lex", "degrevlex", "block"):
             raise RingError(f"unknown order scheme {self.scheme!r}")
-        if self.back not in ("lex", "degrevlex"):
-            raise RingError(f"unknown back scheme {self.back!r}")
         if self.scheme != "block" and self.front:
             raise RingError("front block only makes sense for block orders")
 
@@ -82,8 +117,8 @@ class MonomialOrder:
         return MonomialOrder("degrevlex")
 
     @staticmethod
-    def block(front: Iterable[int], back: str = "degrevlex") -> "MonomialOrder":
-        return MonomialOrder("block", frozenset(front), back)
+    def block(front: Iterable[int]) -> "MonomialOrder":
+        return MonomialOrder("block", frozenset(front))
 
     def key_function(self, nvars: int) -> Callable[[tuple[int, ...]], tuple]:
         """Key on exponent tuples; larger key means larger monomial."""
@@ -93,52 +128,33 @@ class MonomialOrder:
             return _degrevlex_key
         front = sorted(i for i in self.front if i < nvars)
         back = [i for i in range(nvars) if i not in self.front]
-        front_rev = tuple(reversed(front))
-        back_rev = tuple(reversed(back))
-        if self.back == "degrevlex":
 
-            def key(exps: tuple[int, ...]):
-                return (
-                    sum(exps[i] for i in front),
-                    tuple(-exps[i] for i in front_rev),
-                    sum(exps[i] for i in back),
-                    tuple(-exps[i] for i in back_rev),
-                )
-
-        else:
-
-            def key(exps: tuple[int, ...]):
-                return (
-                    sum(exps[i] for i in front),
-                    tuple(-exps[i] for i in front_rev),
-                    tuple(exps[i] for i in back),
-                )
+        def key(exps: tuple[int, ...]):
+            return _degrevlex_key([exps[i] for i in front]) + _degrevlex_key(
+                [exps[i] for i in back]
+            )
 
         return key
 
 
 class PolynomialRing:
-    """A polynomial ring with a fixed variable tuple and ambient order."""
+    """A polynomial ring with a fixed variable tuple; terms sort by degrevlex."""
 
-    def __init__(self, variables: Iterable[Variable], ambient_order: MonomialOrder | None = None):
+    ambient_order = MonomialOrder.degrevlex()
+
+    def __init__(self, variables: Iterable[Variable]):
         self.variables: tuple[Variable, ...] = tuple(variables)
         if len(set(self.variables)) != len(self.variables):
             raise RingError("duplicate variables in ring")
-        self.ambient_order = ambient_order or MonomialOrder.degrevlex()
         self.index: dict[Variable, int] = {v: i for i, v in enumerate(self.variables)}
         self.nvars = len(self.variables)
-        self._ambient_key = self.ambient_order.key_function(self.nvars)
         self._by_str = {str(v): i for i, v in enumerate(self.variables)}
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PolynomialRing)
-            and self.variables == other.variables
-            and self.ambient_order == other.ambient_order
-        )
+        return isinstance(other, PolynomialRing) and self.variables == other.variables
 
     def __hash__(self) -> int:
-        return hash((self.variables, self.ambient_order))
+        return hash(self.variables)
 
     def __repr__(self) -> str:
         return f"PolynomialRing({len(self.variables)} variables)"
@@ -183,7 +199,7 @@ class PolynomialRing:
                 raise RingError("monomial has wrong number of variables")
             acc[m] = acc.get(m, Fraction(0)) + Fraction(c)
         kept = [(m, c) for m, c in acc.items() if c != 0]
-        kept.sort(key=lambda mc: self._ambient_key(mc[0]), reverse=True)
+        kept.sort(key=lambda mc: _degrevlex_key(mc[0]), reverse=True)
         return Polynomial(self, tuple(kept))
 
     # -- printing and parsing ----------------------------------------------
@@ -199,78 +215,37 @@ class PolynomialRing:
                 bits.append(f"{self.variables[i]}^{e}")
         return "*".join(bits)
 
-    _VAR_RE = re.compile(r"(?P<name>[A-Za-z0-9_.']+)\[(?P<body>[^\]]*)\]")
-    _NUM_RE = re.compile(r"\d+(?:/\d+)?")
-    _EXP_RE = re.compile(r"\d+")
+    # a variable, possibly raised to a power, or a rational coefficient
+    _FACTOR = re.compile(
+        r"(?P<var>[A-Za-z0-9_.']+\[[^\]]*\])(?:\^(?P<exp>\d*))?|(?P<num>\d+(?:/\d+)?)"
+    )
 
     def parse(self, text: str) -> "Polynomial":
         """Parse the canonical printed format (tolerant of whitespace)."""
-        text = text.strip()
-        if text in ("", "0"):
+        if not text.strip():
             return self.zero
+        try:
+            products = signed_products(text, self._FACTOR)
+        except ValueError as exc:
+            raise RingError(str(exc)) from None
         terms: list[tuple[tuple[int, ...], Fraction]] = []
-        pos = 0
-        sign = Fraction(1)
-        pending_sign = False
-        n = len(text)
-        while pos < n:
-            while pos < n and text[pos].isspace():
-                pos += 1
-            if pos >= n:
-                break
-            if text[pos] in "+-":
-                if text[pos] == "-":
-                    sign = -sign
-                pending_sign = True
-                pos += 1
-                continue
-            coeff = Fraction(1)
-            exps: dict[int, int] = {}
-            saw_factor = False
-            while True:
-                while pos < n and text[pos].isspace():
-                    pos += 1
-                vm = self._VAR_RE.match(text, pos)
-                nm = self._NUM_RE.match(text, pos)
-                if vm:
-                    idx = self._by_str.get(vm.group(0))
-                    if idx is None:
-                        raise RingError(f"unknown variable {vm.group(0)!r}")
-                    pos = vm.end()
-                    e = 1
-                    if pos < n and text[pos] == "^":
-                        em = self._EXP_RE.match(text, pos + 1)
-                        if not em:
-                            raise RingError("missing exponent after '^'")
-                        e = int(em.group(0))
-                        pos = em.end()
-                    exps[idx] = exps.get(idx, 0) + e
-                    saw_factor = True
-                elif nm:
+        for sign, factors in products:
+            coeff = Fraction(sign)
+            exps = [0] * self.nvars
+            for f in factors:
+                if f["num"] is not None:
                     try:
-                        coeff *= Fraction(nm.group(0))
+                        coeff *= Fraction(f["num"])
                     except ZeroDivisionError:
-                        raise RingError(f"zero denominator in {nm.group(0)!r}") from None
-                    pos = nm.end()
-                    saw_factor = True
-                else:
-                    raise RingError(f"cannot parse polynomial near {text[pos:pos+16]!r}")
-                while pos < n and text[pos].isspace():
-                    pos += 1
-                if pos < n and text[pos] == "*":
-                    pos += 1
+                        raise RingError(f"zero denominator in {f['num']!r}") from None
                     continue
-                # adjacency is implicit multiplication: "1/2 x[c;1,1]"
-                if pos < n and (self._VAR_RE.match(text, pos) or self._NUM_RE.match(text, pos)):
-                    continue
-                break
-            if not saw_factor:
-                raise RingError("empty term")
-            terms.append((self.monomial(exps), sign * coeff))
-            sign = Fraction(1)
-            pending_sign = False
-        if pending_sign:
-            raise RingError("dangling sign at end of polynomial")
+                idx = self._by_str.get(f["var"])
+                if idx is None:
+                    raise RingError(f"unknown variable {f['var']!r}")
+                if f["exp"] == "":
+                    raise RingError("missing exponent after '^'")
+                exps[idx] += int(f["exp"] or 1)
+            terms.append((tuple(exps), coeff))
         return self.polynomial(terms)
 
 
@@ -288,12 +263,6 @@ class Polynomial:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    @property
-    def leading_coefficient(self) -> Fraction:
-        if self.is_zero:
-            raise RingError("zero polynomial has no leading coefficient")
-        return self.terms[0][1]
 
     @property
     def total_degree(self) -> int:

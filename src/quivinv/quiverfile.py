@@ -15,11 +15,15 @@
     g1 = f*c - e*d
     g2 = 1/2 d*e - c*f
 
-Relation words are read right-to-left as composition (``f*c`` applies ``c``
-first).  Coefficients are exact rationals ``p/q``.  Arrow and relation names
-must match ``[A-Za-z_][A-Za-z0-9_]*``; vertex identifiers may be any
-whitespace-free token.  A trivial-path factor is written ``triv(vertex)`` and
-is rejected unless ``allow_trivial_terms`` is set.
+A relation is a signed sum of terms, read by :func:`polyring.signed_products`.
+A term is an optional leading coefficient, an exact rational ``p/q``, then a
+word of arrows, its factors separated by whitespace or ``*`` (a ``*`` goes
+only between two factors).  Words are read right-to-left as composition
+(``f*c`` applies ``c`` first).  A trivial path is written ``triv(vertex)``,
+alone or next to a word that starts or ends there, so deformed relations such
+as ``f*c - e*d - 2 triv(0)`` are accepted.  Arrow and relation names must
+match ``[A-Za-z_][A-Za-z0-9_]*``; vertex identifiers may be any
+whitespace-free token.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from .polyring import signed_products
 from .quiver import (
     AlgebraElement,
     Arrow,
@@ -44,9 +49,8 @@ from .quiver import (
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _ARROW_LINE = re.compile(r"(?P<name>\S+)\s*:\s*(?P<tail>\S+)\s*->\s*(?P<head>\S+)\Z")
 _DIM_LINE = re.compile(r"(?P<vertex>\S+)\s*=\s*(?P<dim>\d+)\Z")
-_TOKEN = re.compile(
-    r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<triv>triv\(\s*(?P<vertex>[^)\s]+)\s*\))"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[+\-*]))"
+_FACTOR = re.compile(
+    r"(?P<number>\d+(?:/\d+)?)|triv\(\s*(?P<vertex>[^)\s]+)\s*\)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
 )
 
 _SECTIONS = ("vertices", "arrows", "dims", "K", "relations")
@@ -88,83 +92,35 @@ def _split_sections(text: str) -> dict[str, list[tuple[int, str]]]:
     return sections
 
 
-def _tokenize_relation(expr: str, lineno: int) -> list[tuple[str, str]]:
-    tokens: list[tuple[str, str]] = []
-    pos = 0
-    while pos < len(expr):
-        m = _TOKEN.match(expr, pos)
-        if not m or m.end() == pos:
-            raise QuiverFileError(f"cannot tokenize relation near {expr[pos:pos+12]!r}", lineno)
-        if m.group("number"):
-            tokens.append(("number", m.group("number")))
-        elif m.group("triv"):
-            tokens.append(("triv", m.group("vertex")))
-        elif m.group("name"):
-            tokens.append(("name", m.group("name")))
-        else:
-            tokens.append(("op", m.group("op")))
-        pos = m.end()
-    return tokens
-
-
-def _parse_relation_element(
-    quiver: Quiver, expr: str, lineno: int, allow_trivial: bool
-) -> AlgebraElement:
-    tokens = _tokenize_relation(expr, lineno)
-    if not tokens:
-        raise QuiverFileError("empty relation", lineno)
-    # split into signed terms at top-level +/-
-    terms: list[tuple[Fraction, list[tuple[str, str]]]] = []
-    sign = Fraction(1)
-    factors: list[tuple[str, str]] = []
-    expecting_term = True
-
-    def flush(line: int):
-        if not factors:
-            raise QuiverFileError("empty term in relation", line)
-        terms.append((sign, list(factors)))
-        factors.clear()
-
-    for kind, value in tokens:
-        if kind == "op" and value in "+-":
-            if expecting_term and not factors:
-                sign = sign * (-1 if value == "-" else 1)
-                continue
-            flush(lineno)
-            sign = Fraction(-1 if value == "-" else 1)
-            expecting_term = True
-            continue
-        if kind == "op":  # '*'
-            if not factors:
-                raise QuiverFileError("misplaced '*' in relation", lineno)
-            continue
-        factors.append((kind, value))
-        expecting_term = False
-    flush(lineno)
-
+def _parse_relation_element(quiver: Quiver, expr: str, lineno: int) -> AlgebraElement:
+    try:
+        terms = signed_products(expr, _FACTOR)
+    except ValueError as exc:
+        raise QuiverFileError(f"relation: {exc}", lineno) from None
     built: list[tuple[Path, Fraction]] = []
-    for tsign, tfactors in terms:
-        coeff = tsign
+    for sign, factors in terms:
+        coeff = Fraction(sign)
         word: list[str] = []  # right-to-left factors as written
         trivial_at: str | None = None
-        for pos, (kind, value) in enumerate(tfactors):
-            if kind == "number":
+        for pos, f in enumerate(factors):
+            number, vertex, name = f["number"], f["vertex"], f["name"]
+            if number is not None:
                 if pos != 0:
                     raise QuiverFileError("coefficient must lead its term", lineno)
                 try:
-                    coeff *= Fraction(value)
+                    coeff *= Fraction(number)
                 except ZeroDivisionError:
-                    raise QuiverFileError(f"zero denominator in {value!r}", lineno) from None
-            elif kind == "triv":
-                if value not in quiver.vertices:
-                    raise QuiverFileError(f"unknown vertex {value!r} in triv()", lineno)
-                trivial_at = value
+                    raise QuiverFileError(f"zero denominator in {number!r}", lineno) from None
+            elif vertex is not None:
+                if vertex not in quiver.vertices:
+                    raise QuiverFileError(f"unknown vertex {vertex!r} in triv()", lineno)
+                trivial_at = vertex
             else:
                 try:
-                    quiver.arrow(value)
+                    quiver.arrow(name)
                 except QuiverError:
-                    raise QuiverFileError(f"unknown arrow {value!r}", lineno) from None
-                word.append(value)
+                    raise QuiverFileError(f"unknown arrow {name!r}", lineno) from None
+                word.append(name)
         if word:
             try:
                 # written left-to-right as composition: reverse to traversal order
@@ -177,10 +133,6 @@ def _parse_relation_element(
             path = trivial_path(trivial_at)
         else:
             raise QuiverFileError("term without arrows (use triv(v) for constants)", lineno)
-        if path.is_trivial and not allow_trivial:
-            raise QuiverFileError(
-                "trivial-path term in relation (pass allow_trivial_terms to accept)", lineno
-            )
         built.append((path, coeff))
 
     heads = {p.head for p, _ in built}
@@ -190,7 +142,7 @@ def _parse_relation_element(
     return algebra_element(quiver, heads.pop(), tails.pop(), built)
 
 
-def parse_presentation(text: str, allow_trivial_terms: bool = False) -> Presentation:
+def parse_presentation(text: str) -> Presentation:
     """Parse a quiver file into a validated presentation."""
     sections = _split_sections(text)
     for required in ("vertices", "dims"):
@@ -250,7 +202,7 @@ def parse_presentation(text: str, allow_trivial_terms: bool = False) -> Presenta
         name = name.strip()
         if not _NAME_RE.match(name):
             raise QuiverFileError(f"bad relation name {name!r}", lineno)
-        element = _parse_relation_element(quiver, expr.strip(), lineno, allow_trivial_terms)
+        element = _parse_relation_element(quiver, expr.strip(), lineno)
         if element.is_zero:
             raise QuiverFileError(f"relation {name} is zero", lineno)
         relations.append(Relation(name, element))
@@ -261,6 +213,6 @@ def parse_presentation(text: str, allow_trivial_terms: bool = False) -> Presenta
         raise QuiverFileError(str(exc), 0) from None
 
 
-def load_presentation(path, allow_trivial_terms: bool = False) -> Presentation:
+def load_presentation(path) -> Presentation:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_presentation(fh.read(), allow_trivial_terms)
+        return parse_presentation(fh.read())

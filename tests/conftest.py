@@ -19,6 +19,17 @@ g2 = d*e - c*f
 """
 
 
+def mutate(text, edit_list):
+    """Apply (kind, position, character) edits; positions wrap around the text's length."""
+    for kind, pos, char in edit_list:
+        pos %= len(text) + 1
+        if kind == "insert":
+            text = text[:pos] + char + text[pos:]
+        elif pos < len(text):
+            text = text[:pos] + ("" if kind == "delete" else char) + text[pos + 1 :]
+    return text
+
+
 @pytest.fixture(scope="session")
 def a1():
     """The doubled two-vertex quiver with preprojective relations, v = (2,2), K = {1}."""

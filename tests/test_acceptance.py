@@ -74,7 +74,7 @@ def shipped():
 
 def monic(p):
     """p scaled so that its leading coefficient is 1."""
-    return p * (1 / p.leading_coefficient)
+    return p * (1 / p.terms[0][1])
 
 
 def report(number: int, label: str, elapsed: float = None):

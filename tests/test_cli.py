@@ -6,6 +6,8 @@ import pytest
 
 from quivinv.cli import main
 
+from conftest import A1_TEXT
+
 KRONECKER = """
 [vertices] 0 1
 [arrows]
@@ -100,6 +102,12 @@ class TestKernel:
         code, out, _ = run(capsys, "kernel", str(path), "--format", "json")
         assert code == 0
         assert json.loads(out)["count"] == 0
+
+    def test_seed_is_not_an_option(self, a1_file):
+        # only verify and example-a1 draw random trials
+        with pytest.raises(SystemExit) as exc:
+            main(["kernel", str(a1_file), "--seed", "1"])
+        assert exc.value.code == 2
 
 
 class TestPresent:
@@ -197,6 +205,28 @@ class TestVerify:
     def test_seed_changes_are_echoed(self, capsys, a1_file):
         _, out, _ = run(capsys, "verify", str(a1_file), "--seed", "99", "--format", "json")
         assert json.loads(out)["seed"] == 99
+
+
+class TestDeformedRelations:
+    """Deformed preprojective relations (weight (1,-1), so lambda . v = 0) carry trivial paths."""
+
+    @pytest.fixture()
+    def deformed_file(self, tmp_path):
+        text = A1_TEXT.replace("g1 = f*c - e*d", "g1 = f*c - e*d - triv(0)")
+        text = text.replace("g2 = d*e - c*f", "g2 = d*e - c*f + triv(1)")
+        path = tmp_path / "deformed.quiver"
+        path.write_text(text, encoding="utf-8")
+        return str(path)
+
+    def test_verify_passes(self, capsys, deformed_file):
+        code, out, _ = run(capsys, "verify", deformed_file, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["pass"] is True
+
+    def test_present_exits_zero(self, capsys, deformed_file):
+        code, out, _ = run(capsys, "present", deformed_file, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["elimination_ideal"]
 
 
 DATA = resources.files("quivinv").joinpath("data")

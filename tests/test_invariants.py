@@ -69,7 +69,7 @@ a: 0 -> 0
 
 def monic(p):
     """p scaled so that its leading coefficient is 1."""
-    return p * (1 / p.leading_coefficient)
+    return p * (1 / p.terms[0][1])
 
 
 class TestContraction:

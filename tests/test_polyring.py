@@ -11,6 +11,8 @@ from quivinv import (
     fresh_var,
 )
 
+from conftest import mutate
+
 NVARS = 4
 RING = PolynomialRing([fresh_var(n, 1, 1) for n in ("x", "y", "z", "w")])
 ARROWISH = PolynomialRing(
@@ -39,7 +41,7 @@ orders = st.sampled_from(
         MonomialOrder.lex(),
         MonomialOrder.degrevlex(),
         MonomialOrder.block({0, 1}),
-        MonomialOrder.block({2}, back="lex"),
+        MonomialOrder.block({2}),
     ]
 )
 
@@ -114,7 +116,8 @@ class TestArithmetic:
     def test_terms_sorted_descending_in_ambient_order(self):
         x, y = RING.var(0), RING.var(1)
         f = y + x * x + x
-        keys = [RING._ambient_key(m) for m, _ in f.terms]
+        key = MonomialOrder.degrevlex().key_function(NVARS)
+        keys = [key(m) for m, _ in f.terms]
         assert keys == sorted(keys, reverse=True)
 
     def test_zero_polynomial_has_empty_terms(self):
@@ -181,3 +184,27 @@ class TestPrinting:
             RING.parse("x[1,1] +")
         with pytest.raises(RingError, match="dangling sign"):
             RING.parse("-")
+
+
+# characters of printed polynomials, so that edits mostly stay near the grammar
+PRINTED = "xyzw[1,]^/*+- 0123456789"
+
+edits = st.lists(
+    st.tuples(
+        st.sampled_from(["delete", "insert", "replace"]),
+        st.integers(min_value=0, max_value=200),
+        st.one_of(st.sampled_from(PRINTED), st.characters()),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+class TestFuzz:
+    @given(polynomials, edits)
+    @settings(max_examples=400, deadline=None)
+    def test_mutated_polynomial_raises_only_ring_error(self, f, edit_list):
+        try:
+            RING.parse(mutate(str(f), edit_list))
+        except RingError:
+            pass

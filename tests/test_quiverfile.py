@@ -9,7 +9,7 @@ from quivinv import QuiverFileError, RingError, parse_presentation
 from quivinv.quiver import ConnectivityWarning
 from quivinv.quiverfile import load_presentation
 
-from conftest import A1_TEXT
+from conftest import A1_TEXT, mutate
 
 
 class TestA1File:
@@ -102,6 +102,12 @@ class TestErrors:
         with pytest.raises(QuiverFileError, match="clashes with an arrow"):
             parse_presentation(with_relations("c = f*c - e*d"))
 
+    @pytest.mark.parametrize("expr", ["f**c", "f*c*", "f* - c", "*f*c", "f*c -"])
+    def test_stray_operator_reports_line(self, expr):
+        with pytest.raises(QuiverFileError, match="line 13") as err:
+            parse_presentation(with_relations(f"bad = {expr}"))
+        assert err.value.line == 13
+
     def test_missing_dimension_entry(self):
         with pytest.raises(QuiverFileError, match="missing dimensions"):
             parse_presentation(BASE.replace("1 = 2\n", ""))
@@ -118,14 +124,8 @@ class TestCoefficientsAndTrivialTerms:
         coeffs = [c for _, c in pres.relation("g").element.terms]
         assert coeffs == [Fraction(-1), Fraction(1)]
 
-    def test_trivial_term_rejected_by_default(self):
-        with pytest.raises(QuiverFileError, match="trivial-path term"):
-            parse_presentation(with_relations("g = e*c - triv(0)"))
-
-    def test_trivial_term_allowed_behind_flag(self):
-        pres = parse_presentation(
-            with_relations("g = e*c - triv(0)"), allow_trivial_terms=True
-        )
+    def test_trivial_term_accepted(self):
+        pres = parse_presentation(with_relations("g = e*c - triv(0)"))
         terms = pres.relation("g").element.terms
         assert [(p.word, c) for p, c in terms] == [
             ("triv(0)", Fraction(-1)),
@@ -151,16 +151,6 @@ edits = st.lists(
     min_size=1,
     max_size=6,
 )
-
-
-def mutate(text, edit_list):
-    for kind, pos, char in edit_list:
-        pos %= len(text) + 1
-        if kind == "insert":
-            text = text[:pos] + char + text[pos:]
-        elif pos < len(text):
-            text = text[:pos] + ("" if kind == "delete" else char) + text[pos + 1 :]
-    return text
 
 
 class TestFuzz:
