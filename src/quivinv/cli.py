@@ -2,7 +2,8 @@
 
 Subcommands: ``generators``, ``kernel``, ``present``, ``verify``, and
 ``example-a1`` (runs the full pipeline on the bundled two-vertex example).
-Output is plain text by default or deterministic JSON with ``--format json``.
+Output is plain text by default or deterministic JSON with ``--format json``;
+``example-a1`` always prints JSON.
 Exit codes: 0 success, 1 verification/comparison failure, 2 input error,
 3 resource budget exceeded.
 """
@@ -200,10 +201,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p, with_file=True):
-        if with_file:
+        if with_file:  # example-a1 reads the bundled file and always prints JSON
             p.add_argument("file", help="quiver presentation file")
             p.add_argument("--K", default=None, help="override the frozen vertex set (comma list; empty for none)")
-        p.add_argument("--format", choices=("text", "json"), default="text")
+            p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--budget", type=int, default=None, help="reduction-step cap for the basis engine")
 
     p = sub.add_parser("generators", help="invariant-ring generators up to a length bound")

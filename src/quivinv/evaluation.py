@@ -1,8 +1,10 @@
 """Exact evaluation oracle: representation points, group action, invariance.
 
-Everything is computed over exact rationals, so equality checks are literal
-polynomial identities at points; there is no tolerance policy.  Randomness is
-always seeded and the seeds are recorded in reports.
+Everything is computed exactly: points and group elements have integer
+entries, only the group inverses are rational, and :func:`mat_inverse` holds
+the only division, over :class:`Fraction`.  Equality checks are therefore
+literal polynomial identities at points; there is no tolerance policy.
+Randomness is always seeded and the seeds are recorded in reports.
 """
 
 from __future__ import annotations
@@ -10,19 +12,19 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .polyring import ARROW, Polynomial, RingError
 from .quiver import Path, Presentation, QuiverError, framed_quiver
 
-Matrix = tuple[tuple[Fraction, ...], ...]
+Number = Union[int, Fraction]
+Matrix = tuple[tuple[Number, ...], ...]
+RepPoint = dict[str, Matrix]  # arrow -> matrix, shaped v_head x v_tail
+GroupElement = dict[str, tuple[Matrix, Matrix]]  # vertex -> (g, g^-1); absent is identity
 
 
 def identity_matrix(n: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
-    )
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def mat_mul(a: Matrix, b: Matrix, cols: Optional[int] = None) -> Matrix:
@@ -32,13 +34,12 @@ def mat_mul(a: Matrix, b: Matrix, cols: Optional[int] = None) -> Matrix:
     if cols is None:
         cols = len(b[0]) if b else 0
     return tuple(
-        tuple(sum((row[k] * b[k][j] for k in range(inner)), Fraction(0)) for j in range(cols))
-        for row in a
+        tuple(sum(row[k] * b[k][j] for k in range(inner)) for j in range(cols)) for row in a
     )
 
 
-def mat_trace(a: Matrix) -> Fraction:
-    return sum((a[i][i] for i in range(len(a))), Fraction(0))
+def mat_trace(a: Matrix) -> Number:
+    return sum(a[i][i] for i in range(len(a)))
 
 
 class SingularMatrixError(ValueError):
@@ -48,7 +49,7 @@ class SingularMatrixError(ValueError):
 def mat_inverse(a: Matrix) -> Matrix:
     """Exact inverse by Gauss-Jordan elimination over the rationals."""
     n = len(a)
-    work = [list(row) for row in a]
+    work = [[Fraction(x) for x in row] for row in a]
     inv = [list(row) for row in identity_matrix(n)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
@@ -68,125 +69,96 @@ def mat_inverse(a: Matrix) -> Matrix:
     return tuple(tuple(row) for row in inv)
 
 
-@dataclass(frozen=True)
-class RepPoint:
-    """One matrix per arrow, shaped v_head x v_tail."""
-
-    matrices: tuple[tuple[str, Matrix], ...]
-
-    @cached_property
-    def _map(self) -> dict[str, Matrix]:
-        return dict(self.matrices)
-
-    def matrix(self, arrow: str) -> Matrix:
-        return self._map[arrow]
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """An invertible matrix, with its exact inverse, per vertex; a vertex
-    without a factor carries the identity, so ``GroupElement(())`` is the
-    identity element."""
-
-    factors: tuple[tuple[str, Matrix, Matrix], ...]
-
-
 def random_rep(pres: Presentation, seed: int) -> RepPoint:
     """Deterministic point with integer entries in [-5, 5]."""
     rng = random.Random(seed)
     v = pres.dims
-    out = []
-    for a in pres.quiver.arrows:
-        m = tuple(
-            tuple(Fraction(rng.randint(-5, 5)) for _ in range(v[a.tail]))
-            for _ in range(v[a.head])
+    return {
+        a.name: tuple(
+            tuple(rng.randint(-5, 5) for _ in range(v[a.tail])) for _ in range(v[a.head])
         )
-        out.append((a.name, m))
-    return RepPoint(tuple(out))
+        for a in pres.quiver.arrows
+    }
 
 
 def random_group(pres: Presentation, seed: int) -> GroupElement:
     """Invertible integer matrices at the frozen vertices, with exact inverses."""
     rng = random.Random(seed)
     v = pres.dims
-    factors = []
+    factors = {}
     for vertex in pres.quiver.vertices:
         if vertex not in pres.frozen_vertices:
             continue
         n = v[vertex]
-        while True:
-            g = tuple(
-                tuple(Fraction(rng.randint(-5, 5)) for _ in range(n)) for _ in range(n)
-            )
+        while vertex not in factors:
+            g = tuple(tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(n))
             try:
-                ginv = mat_inverse(g)
+                factors[vertex] = (g, mat_inverse(g))
             except SingularMatrixError:
-                continue
-            factors.append((vertex, g, ginv))
-            break
-    return GroupElement(tuple(factors))
+                pass
+    return factors
 
 
 def act(pres: Presentation, g: GroupElement, point: RepPoint) -> RepPoint:
     """Conjugation: each arrow matrix maps to g_head * B * g_tail^{-1},
     multiplying only at the vertices where g has a factor."""
     v = pres.dims
-    factors = {vertex: (m, inv) for vertex, m, inv in g.factors}
-    out = []
+    out = {}
     for a in pres.quiver.arrows:
-        m = point.matrix(a.name)
-        if a.head in factors:
-            m = mat_mul(factors[a.head][0], m, v[a.tail])
-        if a.tail in factors:
-            m = mat_mul(m, factors[a.tail][1], v[a.tail])
-        out.append((a.name, m))
-    return RepPoint(tuple(out))
+        m = point[a.name]
+        if a.head in g:
+            m = mat_mul(g[a.head][0], m, v[a.tail])
+        if a.tail in g:
+            m = mat_mul(m, g[a.tail][1], v[a.tail])
+        out[a.name] = m
+    return out
 
 
-def eval_poly(f: Polynomial, pres: Presentation, point: RepPoint) -> Fraction:
-    """Substitute matrix entries for arrow variables, exactly."""
+def eval_poly(f: Polynomial, pres: Presentation, point: RepPoint) -> Number:
+    """Substitute matrix entries for arrow variables, exactly: each monomial
+    is multiplied out in the point's entries before its coefficient applies."""
     ring = f.ring
-    cache: dict[int, Fraction] = {}
+    cache: dict[int, Number] = {}
 
-    def value(i: int) -> Fraction:
+    def value(i: int) -> Number:
         got = cache.get(i)
         if got is None:
             var = ring.variables[i]
             if var.kind != ARROW:
                 raise RingError(f"unknown variable {var} at evaluation")
             try:
-                got = point.matrix(var.name)[var.row - 1][var.col - 1]
+                got = point[var.name][var.row - 1][var.col - 1]
             except (KeyError, IndexError):
                 raise RingError(f"unknown variable {var} at evaluation") from None
             cache[i] = got
         return got
 
-    acc = Fraction(0)
+    acc = 0
     for m, c in f.terms:
-        term = c
+        term = 1
         for i, e in enumerate(m):
             if e:
                 term *= value(i) ** e
-        acc += term
+        acc += c * term
     return acc
 
 
-def _product(matrix, path: Path, cols: int) -> Matrix:
-    """Product of ``matrix(name)`` along a path whose tail has dimension ``cols``."""
+def _product(matrices: RepPoint, path: Path, cols: int) -> Matrix:
+    """Product of the matrices along a path whose tail has dimension ``cols``."""
     if path.is_trivial:
         return identity_matrix(cols)
-    m = matrix(path.arrows[0])
+    m = matrices[path.arrows[0]]
     for name in path.arrows[1:]:
-        m = mat_mul(matrix(name), m, cols)
+        m = mat_mul(matrices[name], m, cols)
     return m
 
 
 def path_product(pres: Presentation, point: RepPoint, path: Path) -> Matrix:
     """Direct matrix product along a path: the evaluation oracle."""
-    return _product(point.matrix, path, pres.dims[path.tail])
+    return _product(point, path, pres.dims[path.tail])
 
 
-def framed_point(pres: Presentation, point: RepPoint) -> dict[str, Matrix]:
+def framed_point(pres: Presentation, point: RepPoint) -> RepPoint:
     """Image of a point under the framing identification.
 
     Arrows inside the frozen set keep their matrices; a crossing arrow into
@@ -194,14 +166,14 @@ def framed_point(pres: Presentation, point: RepPoint) -> dict[str, Matrix]:
     out of the set contributes its rows.
     """
     fq = framed_quiver(pres)
-    out: dict[str, Matrix] = {}
+    out: RepPoint = {}
     prov = fq.provenance_map
     for a in fq.quiver.arrows:
         if a.name not in prov:
-            out[a.name] = point.matrix(a.name)
+            out[a.name] = point[a.name]
             continue
         source, index = prov[a.name]
-        m = point.matrix(source)
+        m = point[source]
         if a.tail == fq.infinity:  # column arrow
             out[a.name] = tuple((row[index - 1],) for row in m)
         else:  # row arrow
@@ -209,11 +181,11 @@ def framed_point(pres: Presentation, point: RepPoint) -> dict[str, Matrix]:
     return out
 
 
-def framed_trace(pres: Presentation, framed_path: Path, point: RepPoint) -> Fraction:
+def framed_trace(pres: Presentation, framed_path: Path, point: RepPoint) -> Number:
     """Trace of the matrix product along a framed cycle at the framed point."""
     mats = framed_point(pres, point)
     cols = framed_quiver(pres).dims[framed_path.tail]
-    return mat_trace(_product(mats.__getitem__, framed_path, cols))
+    return mat_trace(_product(mats, framed_path, cols))
 
 
 @dataclass

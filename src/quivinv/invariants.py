@@ -126,7 +126,6 @@ class GeneratorEntry:
     label: str
     kind: str  # "trace" | "contraction"
     word: str
-    source: Path
     i: int
     j: int
     polynomial: Polynomial
@@ -170,6 +169,23 @@ def _apply_selection(
     return [e for e in entries if e.word in wanted_set]
 
 
+def invariant_functions(
+    pres: Presentation, g: Source, word: str
+) -> list[tuple[str, str, int, int, Polynomial]]:
+    """The nonzero generators of a path or algebra element, as
+    ``(label, kind, i, j, polynomial)``: the trace ``tr[word]`` when g is a
+    cycle at a frozen vertex, else the row-major entries ``x[word;i,j]``."""
+    if g.head == g.tail and g.head in pres.frozen_vertices:
+        poly = trace_poly(pres, g)
+        return [] if poly.is_zero else [(f"tr[{word}]", "trace", 0, 0, poly)]
+    return [
+        (f"x[{word};{i},{j}]", "contraction", i, j, poly)
+        for i, row in enumerate(element_matrix(pres, g), 1)
+        for j, poly in enumerate(row, 1)
+        if not poly.is_zero
+    ]
+
+
 def lusztig_generators(
     pres: Presentation,
     max_len: int,
@@ -179,33 +195,18 @@ def lusztig_generators(
 
     Emits trace entries for rotation-canonical cycles traversing only arrows
     with both endpoints frozen, then contraction entries (row-major index
-    pairs) for paths with both endpoints unfrozen.  Constant and zero
-    polynomials are skipped; an optional selection keeps only listed words.
+    pairs) for paths with both endpoints unfrozen.  Zero polynomials are
+    skipped; an optional selection keeps only listed words.
     """
     if max_len < 1:
         raise QuiverError("max_len must be >= 1")
-    q = pres.quiver
-    v = pres.dims
-    K = pres.frozen_vertices
-    Kc = pres.unfrozen_vertices
-    entries: list[GeneratorEntry] = []
-    for cyc in enumerate_cycles_in_k(q, K, max_len):
-        poly = trace_poly(pres, cyc)
-        if poly.is_zero or poly.total_degree == 0:
-            continue
-        entries.append(GeneratorEntry(f"tr[{cyc.word}]", "trace", cyc.word, cyc, 0, 0, poly))
-    for path in enumerate_paths(q, Kc, Kc, max_len):
-        mat = path_matrix(pres, path)
-        for i in range(1, v[path.head] + 1):
-            for j in range(1, v[path.tail] + 1):
-                poly = mat[i - 1][j - 1]
-                if poly.is_zero or poly.total_degree == 0:
-                    continue
-                entries.append(
-                    GeneratorEntry(
-                        f"x[{path.word};{i},{j}]", "contraction", path.word, path, i, j, poly
-                    )
-                )
+    q, K, Kc = pres.quiver, pres.frozen_vertices, pres.unfrozen_vertices
+    sources = enumerate_cycles_in_k(q, K, max_len) + enumerate_paths(q, Kc, Kc, max_len)
+    entries = [
+        GeneratorEntry(label, kind, p.word, i, j, poly)
+        for p in sources
+        for label, kind, i, j, poly in invariant_functions(pres, p, p.word)
+    ]
     labels = [e.label for e in entries]
     if len(set(labels)) != len(labels):
         # happens when an arrow name spells a composite word, e.g. arrow "ec"

@@ -16,12 +16,10 @@ from typing import Optional, Sequence, Union
 from .groebner import ComputeBudget, Ideal, eliminate
 from .invariants import (
     GeneratorEntry,
-    GeneratorSet,
-    element_matrix,
+    invariant_functions,
     lusztig_generators,
     rep_ideal,
     ring_for,
-    trace_poly,
 )
 from .polyring import (
     MonomialOrder,
@@ -32,7 +30,6 @@ from .polyring import (
     fresh_var,
 )
 from .quiver import (
-    AlgebraElement,
     Path,
     Presentation,
     QuiverError,
@@ -55,7 +52,6 @@ class KernelGenerator:
     w: Path
     i: int
     j: int
-    element: AlgebraElement
     polynomial: Polynomial
 
     def to_jsonable(self) -> dict:
@@ -96,9 +92,7 @@ def kernel_generators(
     if max_u < 0 or max_w < 0:
         raise QuiverError("sandwich bounds must be >= 0")
     q = pres.quiver
-    v = pres.dims
     K = pres.frozen_vertices
-    Kc = pres.unfrozen_vertices
     out: list[KernelGenerator] = []
     seen_traces: set[tuple[int, tuple[str, ...]]] = set()
     for k, rel in enumerate(pres.relations):
@@ -107,52 +101,19 @@ def kernel_generators(
         ws = enumerate_paths(q, q.vertices, {g.tail}, max_w, include_trivial=True)
         for u in us:
             for w in ws:
-                base, other = u.head, w.tail
-                if base == other and base in K:
-                    outer = compose(w, u)  # the cycle with the relation cut out
-                    dedup = (k, outer.arrows)
+                if u.head == w.tail and u.head in K:
+                    dedup = (k, compose(w, u).arrows)  # the cycle with the relation cut out
                     if dedup in seen_traces:
                         continue
                     seen_traces.add(dedup)
-                    element = sandwich(q, u, g, w)
-                    poly = trace_poly(pres, element)
-                    if poly.is_zero:
-                        continue
-                    out.append(
-                        KernelGenerator(
-                            f"tr[{_sandwich_word(u, rel.name, w)}]",
-                            "trace",
-                            u,
-                            rel.name,
-                            w,
-                            0,
-                            0,
-                            element,
-                            poly,
-                        )
+                elif u.head in K or w.tail in K:  # one end frozen: no generator
+                    continue
+                out.extend(
+                    KernelGenerator(label, kind, u, rel.name, w, i, j, poly)
+                    for label, kind, i, j, poly in invariant_functions(
+                        pres, sandwich(q, u, g, w), _sandwich_word(u, rel.name, w)
                     )
-                elif base in Kc and other in Kc:
-                    element = sandwich(q, u, g, w)
-                    mat = element_matrix(pres, element)
-                    word = _sandwich_word(u, rel.name, w)
-                    for i in range(1, v[base] + 1):
-                        for j in range(1, v[other] + 1):
-                            poly = mat[i - 1][j - 1]
-                            if poly.is_zero:
-                                continue
-                            out.append(
-                                KernelGenerator(
-                                    f"x[{word};{i},{j}]",
-                                    "contraction",
-                                    u,
-                                    rel.name,
-                                    w,
-                                    i,
-                                    j,
-                                    element,
-                                    poly,
-                                )
-                            )
+                )
     return tuple(out)
 
 
@@ -164,8 +125,6 @@ class InvariantPresentation:
     """Fresh variables for the chosen generators, the combined defining ideal,
     and the elimination ideal expressing all relations among the generators."""
 
-    presentation: Presentation
-    generators: GeneratorSet
     combined_ring: PolynomialRing
     fresh_ring: PolynomialRing
     dictionary: tuple[tuple[Variable, GeneratorEntry], ...]
@@ -227,8 +186,6 @@ def present_invariant_ring(
     order = MonomialOrder.block(range(arrow_ring.nvars))
     elim = eliminate(defining_ideal, list(range(arrow_ring.nvars)), budget)
     return InvariantPresentation(
-        presentation=pres,
-        generators=gens,
         combined_ring=combined,
         fresh_ring=elim.ring,
         dictionary=tuple(dictionary),

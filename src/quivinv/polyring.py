@@ -86,6 +86,15 @@ def signed_products(text: str, factor: re.Pattern) -> list[tuple[int, list[re.Ma
         terms.append((-1 if signs.group().count("-") % 2 else 1, factors))
 
 
+def exact_number(text: str) -> Fraction:
+    """The rational ``p`` or ``p/q`` written in ``text``.  Raises ValueError on
+    a zero denominator and on a numeral longer than Python converts to int."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def _degrevlex_key(exps: tuple[int, ...]):
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
@@ -224,28 +233,24 @@ class PolynomialRing:
         """Parse the canonical printed format (tolerant of whitespace)."""
         if not text.strip():
             return self.zero
-        try:
-            products = signed_products(text, self._FACTOR)
-        except ValueError as exc:
-            raise RingError(str(exc)) from None
         terms: list[tuple[tuple[int, ...], Fraction]] = []
-        for sign, factors in products:
-            coeff = Fraction(sign)
-            exps = [0] * self.nvars
-            for f in factors:
-                if f["num"] is not None:
-                    try:
-                        coeff *= Fraction(f["num"])
-                    except ZeroDivisionError:
-                        raise RingError(f"zero denominator in {f['num']!r}") from None
-                    continue
-                idx = self._by_str.get(f["var"])
-                if idx is None:
-                    raise RingError(f"unknown variable {f['var']!r}")
-                if f["exp"] == "":
-                    raise RingError("missing exponent after '^'")
-                exps[idx] += int(f["exp"] or 1)
-            terms.append((tuple(exps), coeff))
+        try:
+            for sign, factors in signed_products(text, self._FACTOR):
+                coeff = Fraction(sign)
+                exps = [0] * self.nvars
+                for f in factors:
+                    if f["num"] is not None:
+                        coeff *= exact_number(f["num"])
+                        continue
+                    idx = self._by_str.get(f["var"])
+                    if idx is None:
+                        raise RingError(f"unknown variable {f['var']!r}")
+                    if f["exp"] == "":
+                        raise RingError("missing exponent after '^'")
+                    exps[idx] += int(f["exp"] or 1)
+                terms.append((tuple(exps), coeff))
+        except ValueError as exc:  # a RingError, or text the reader or int() rejects
+            raise RingError(str(exc)) from None
         return self.polynomial(terms)
 
 

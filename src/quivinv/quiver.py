@@ -371,31 +371,20 @@ def enumerate_paths(
 def enumerate_cycles_in_k(quiver: Quiver, frozen: Iterable[str], max_len: int) -> list[Path]:
     """Cycles of length <= max_len traversing only arrows with both endpoints
     in the frozen set, one representative per rotation class (lexicographically
-    least rotation).  Trivial paths are excluded."""
+    least rotation), in the order their first rotation is enumerated.  Trivial
+    paths are excluded."""
     if max_len < 1:
         raise QuiverError("max_len must be >= 1")
     frozen = set(frozen)
-    inner = [a for a in quiver.arrows if a.tail in frozen and a.head in frozen]
-    out: list[Path] = []
-    seen: set[tuple[str, ...]] = set()
-    level = [Path((a.name,), a.tail, a.head) for a in inner]
-    inner_from: dict[str, list[Arrow]] = {}
-    for a in inner:
-        inner_from.setdefault(a.tail, []).append(a)
-    for n in range(1, max_len + 1):
-        for p in level:
-            if p.is_cycle:
-                canon = canonical_rotation(p, quiver)
-                if canon.arrows not in seen:
-                    seen.add(canon.arrows)
-                    out.append(canon)
-        if n < max_len:
-            level = [
-                Path(p.arrows + (a.name,), p.tail, a.head)
-                for p in level
-                for a in inner_from.get(p.head, ())
-            ]
-    return out
+    inner = Quiver(
+        quiver.vertices, tuple(a for a in quiver.arrows if a.tail in frozen and a.head in frozen)
+    )
+    canon: dict[tuple[str, ...], Path] = {}
+    for p in enumerate_paths(inner, frozen, frozen, max_len):
+        if p.is_cycle:
+            c = canonical_rotation(p, quiver)
+            canon.setdefault(c.arrows, c)
+    return list(canon.values())
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .polyring import signed_products
+from .polyring import exact_number, signed_products
 from .quiver import (
     AlgebraElement,
     Arrow,
@@ -108,9 +108,9 @@ def _parse_relation_element(quiver: Quiver, expr: str, lineno: int) -> AlgebraEl
                 if pos != 0:
                     raise QuiverFileError("coefficient must lead its term", lineno)
                 try:
-                    coeff *= Fraction(number)
-                except ZeroDivisionError:
-                    raise QuiverFileError(f"zero denominator in {number!r}", lineno) from None
+                    coeff *= exact_number(number)
+                except ValueError as exc:
+                    raise QuiverFileError(str(exc), lineno) from None
             elif vertex is not None:
                 if vertex not in quiver.vertices:
                     raise QuiverFileError(f"unknown vertex {vertex!r} in triv()", lineno)
@@ -181,7 +181,10 @@ def parse_presentation(text: str) -> Presentation:
             raise QuiverFileError(f"dimension for unknown vertex {v!r}", lineno)
         if v in dims:
             raise QuiverFileError(f"duplicate dimension for vertex {v!r}", lineno)
-        dims[v] = int(m.group("dim"))
+        try:
+            dims[v] = int(m.group("dim"))
+        except ValueError as exc:
+            raise QuiverFileError(f"dimension: {exc}", lineno) from None
     try:
         dimvec = DimensionVector.of(quiver, dims)
     except QuiverError as exc:

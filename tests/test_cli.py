@@ -103,10 +103,26 @@ class TestKernel:
         assert code == 0
         assert json.loads(out)["count"] == 0
 
+    def test_overlong_coefficient_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "long.quiver"
+        path.write_text(KRONECKER.replace("g = c - d", "g = " + "1" * 5000 + " c - d"))
+        code, out, err = run(capsys, "kernel", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 11:")
+
     def test_seed_is_not_an_option(self, a1_file):
         # only verify and example-a1 draw random trials
         with pytest.raises(SystemExit) as exc:
             main(["kernel", str(a1_file), "--seed", "1"])
+        assert exc.value.code == 2
+
+
+class TestExampleA1:
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_format_is_not_an_option(self, fmt):
+        # example-a1 always prints JSON
+        with pytest.raises(SystemExit) as exc:
+            main(["example-a1", "--format", fmt])
         assert exc.value.code == 2
 
 

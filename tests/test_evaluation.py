@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from quivinv import (
     RingError,
@@ -19,7 +20,6 @@ from quivinv import (
 )
 from quivinv import evaluation
 from quivinv.evaluation import (
-    GroupElement,
     SingularMatrixError,
     framed_trace,
     identity_matrix,
@@ -57,7 +57,7 @@ class TestRandomPoints:
         b1 = random_rep(a1, 42)
         b2 = random_rep(a1, 42)
         assert b1 == b2
-        for _, m in b1.matrices:
+        for m in b1.values():
             assert all(-5 <= x <= 5 for row in m for x in row)
 
     def test_different_seeds_differ(self, a1):
@@ -71,12 +71,12 @@ class TestRandomPoints:
             warnings.simplefilter("ignore")
             pres = Presentation(a1.quiver, v, frozenset())
         b = random_rep(pres, 0)
-        assert b.matrix("c") == ()
+        assert b["c"] == ()
 
     def test_shapes_match_dimensions(self, a1):
         b = random_rep(a1, 5)
         for a in a1.quiver.arrows:
-            m = b.matrix(a.name)
+            m = b[a.name]
             assert len(m) == a1.dims[a.head]
             assert all(len(row) == a1.dims[a.tail] for row in m)
 
@@ -84,7 +84,7 @@ class TestRandomPoints:
 class TestRandomGroup:
     def test_exact_inverse_cached(self, a1):
         g = random_group(a1, 3)
-        for vertex, mat, inv in g.factors:
+        for vertex, (mat, inv) in g.items():
             n = len(mat)
             assert mat_mul(mat, inv) == identity_matrix(n)
 
@@ -99,38 +99,36 @@ class TestRandomGroup:
             warnings.simplefilter("ignore")
             pres = Presentation(a1.quiver, v, frozenset({"1"}), a1.relations)
         g = random_group(pres, 11)
-        (_, mat, _), = g.factors
+        (mat, _), = g.values()
         assert mat[0][0] != 0
 
 
 class TestAction:
     def test_identity_acts_trivially(self, a1):
         b = random_rep(a1, 7)
-        assert act(a1, GroupElement(()), b) == b
+        assert act(a1, {}, b) == b
         one = identity_matrix(2)
-        assert act(a1, GroupElement((("1", one, one),)), b) == b
+        assert act(a1, {"1": (one, one)}, b) == b
 
     def test_missing_factors_act_as_identity(self, a1):
         # a factor at vertex 0 only, against the same element with an
         # explicit identity factor added at vertex 1
         both = a1.with_frozen(["0", "1"])
         b = random_rep(both, 6)
-        at_0 = next(f for f in random_group(both, 12).factors if f[0] == "0")
+        at_0 = {"0": random_group(both, 12)["0"]}
         one = identity_matrix(2)
-        explicit = GroupElement((at_0, ("1", one, one)))
-        assert act(both, GroupElement((at_0,)), b) == act(both, explicit, b)
-        assert act(both, GroupElement((at_0,)), b) != b
+        explicit = {**at_0, "1": (one, one)}
+        assert act(both, at_0, b) == act(both, explicit, b)
+        assert act(both, at_0, b) != b
 
     def test_action_is_a_group_action(self, a1):
         b = random_rep(a1, 8)
         g = random_group(a1, 21)
         h = random_group(a1, 22)
-        composed = GroupElement(
-            tuple(
-                (vertex, mat_mul(gm, hm), mat_mul(hinv, ginv))
-                for (vertex, gm, ginv), (_, hm, hinv) in zip(g.factors, h.factors)
-            )
-        )
+        composed = {
+            vertex: (mat_mul(gm, hm), mat_mul(hinv, ginv))
+            for (vertex, (gm, ginv)), (hm, hinv) in zip(g.items(), h.values())
+        }
         assert act(a1, g, act(a1, h, b)) == act(a1, composed, b)
 
     def test_unfrozen_arrows_untouched(self, a1):
@@ -226,6 +224,51 @@ class TestInvariance:
         monkeypatch.setattr(evaluation, "eval_poly", lambda f, pres, point: next(values))
         result = check_invariance([("1", ring_for(a1).one)], a1, 20, seed=0)
         assert (result.passed, result.trials, result.witness["trial"]) == (False, 1, 0)
+
+
+def exact(x):
+    return type(x) in (int, Fraction)
+
+
+small_matrices = st.integers(1, 3).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-5, 5) | st.fractions(max_denominator=7), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    )
+)
+
+
+class TestNoFloats:
+    """Only mat_inverse divides, over Fraction, so no value is ever a float."""
+
+    @given(small_matrices)
+    def test_mat_inverse(self, rows):
+        try:
+            inv = mat_inverse(tuple(map(tuple, rows)))
+        except SingularMatrixError:
+            return
+        assert all(exact(x) for row in inv for x in row)
+
+    @given(
+        st.sampled_from([(), ("0",), ("1",), ("0", "1")]),
+        st.integers(0, 2**31),
+        st.integers(0, 2**31),
+    )
+    def test_act_and_eval_poly(self, a1, frozen, rep_seed, grp_seed):
+        pres = a1.with_frozen(frozen)
+        point = random_rep(pres, rep_seed)
+        moved = act(pres, random_group(pres, grp_seed), point)
+        assert all(exact(x) for m in moved.values() for row in m for x in row)
+        polys = [
+            trace_poly(pres, path_from_word(pres.quiver, "ec")),
+            contraction_poly(pres, path_from_word(pres.quiver, "cfd"), 2, 1),
+            ring_for(pres).constant(Fraction(5, 3)),
+            ring_for(pres).zero,
+        ]
+        for f in polys:
+            assert exact(eval_poly(f, pres, point))
+            assert exact(eval_poly(f, pres, moved))
 
 
 class TestFramedEvaluation:

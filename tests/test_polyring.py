@@ -167,6 +167,15 @@ class TestPrinting:
         with pytest.raises(RingError, match="zero denominator"):
             RING.parse("1/0 x[1,1]")
 
+    def test_parse_overlong_coefficient(self):
+        # longer than Python's int string-conversion limit (4300 digits)
+        with pytest.raises(RingError, match="4300"):
+            RING.parse("1" * 5000 + " x[1,1]")
+
+    def test_parse_overlong_exponent(self):
+        with pytest.raises(RingError, match="4300"):
+            RING.parse("x[1,1]^" + "1" * 5000)
+
     def test_parse_unknown_variable(self):
         with pytest.raises(RingError, match="unknown variable"):
             RING.parse("q[1,1]")

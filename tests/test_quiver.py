@@ -1,12 +1,14 @@
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from quivinv import (
     AlgebraElement,
     Arrow,
     DimensionVector,
+    Path,
     Presentation,
     Quiver,
     QuiverError,
@@ -151,6 +153,48 @@ class TestCycles:
         for cyc in enumerate_cycles_in_k(a1.quiver, {"0", "1"}, 3):
             for rot in rotations(cyc, a1.quiver):
                 assert canonical_rotation(rot, a1.quiver) == cyc
+
+
+def cycles_by_levels(quiver, frozen, max_len):
+    """Canonical cycles inside the frozen set, level by level (the loop that
+    ``enumerate_cycles_in_k`` used before it was built on ``enumerate_paths``)."""
+    inner = [a for a in quiver.arrows if a.tail in frozen and a.head in frozen]
+    out, seen = [], set()
+    level = [Path((a.name,), a.tail, a.head) for a in inner]
+    for n in range(1, max_len + 1):
+        for p in level:
+            if p.is_cycle:
+                canon = canonical_rotation(p, quiver)
+                if canon.arrows not in seen:
+                    seen.add(canon.arrows)
+                    out.append(canon)
+        level = [
+            Path(p.arrows + (a.name,), p.tail, a.head)
+            for p in level
+            for a in inner
+            if a.tail == p.head
+        ]
+    return out
+
+
+@st.composite
+def small_quivers(draw):
+    """Up to 4 vertices and 6 arrows, loops and parallel arrows included."""
+    vertices = tuple(str(k) for k in range(draw(st.integers(1, 4))))
+    vertex = st.sampled_from(vertices)
+    ends = draw(st.lists(st.tuples(vertex, vertex), max_size=6))
+    return Quiver(vertices, tuple(Arrow(f"a{k}", t, h) for k, (t, h) in enumerate(ends)))
+
+
+class TestCyclesAgainstLevels:
+    @given(small_quivers(), st.integers(1, 4))
+    @settings(max_examples=150)
+    def test_same_cycles_in_the_same_order(self, q, max_len):
+        for r in range(len(q.vertices) + 1):
+            for frozen in itertools.combinations(q.vertices, r):
+                assert enumerate_cycles_in_k(q, frozen, max_len) == cycles_by_levels(
+                    q, set(frozen), max_len
+                )
 
 
 class TestFramedQuiver:

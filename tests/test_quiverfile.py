@@ -98,6 +98,17 @@ class TestErrors:
         with pytest.raises(QuiverFileError, match="zero denominator"):
             parse_presentation(with_relations("bad = 1/0 f*c"))
 
+    def test_overlong_coefficient_reports_line(self):
+        # longer than Python's int string-conversion limit (4300 digits)
+        with pytest.raises(QuiverFileError, match="4300") as err:
+            parse_presentation(with_relations("bad = " + "1" * 5000 + " f*c"))
+        assert err.value.line == 13
+
+    def test_overlong_dimension_reports_line(self):
+        with pytest.raises(QuiverFileError, match="4300") as err:
+            parse_presentation(BASE.replace("0 = 2", "0 = " + "1" * 5000))
+        assert err.value.line == 9
+
     def test_relation_name_clashing_with_arrow(self):
         with pytest.raises(QuiverFileError, match="clashes with an arrow"):
             parse_presentation(with_relations("c = f*c - e*d"))
