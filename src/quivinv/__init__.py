@@ -46,7 +46,6 @@ from .evaluation import (
     random_rep,
 )
 from .polyring import (
-    MonomialOrder,
     Polynomial,
     PolynomialRing,
     RingError,

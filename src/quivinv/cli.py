@@ -126,6 +126,10 @@ def _compare_against(ip, compare_text: str, budget: Optional[ComputeBudget]) -> 
 def cmd_present(args: argparse.Namespace) -> int:
     pres = _load(args)
     budget = _budget(args)
+    compare_text = None
+    if args.compare:  # read before the elimination, so a bad path fails fast
+        with open(args.compare, "r", encoding="utf-8") as fh:
+            compare_text = fh.read()
     ip = present_invariant_ring(pres, args.max_len, _selection(args, pres), budget)
     payload = {
         "command": "present",
@@ -135,8 +139,7 @@ def cmd_present(args: argparse.Namespace) -> int:
     }
     equal = None
     if args.compare:
-        with open(args.compare, "r", encoding="utf-8") as fh:
-            equal = _compare_against(ip, fh.read(), budget)
+        equal = _compare_against(ip, compare_text, budget)
         payload["compare"] = {"file": args.compare, "equal": equal}
     _emit(args, payload, _present_lines)
     return EXIT_OK if equal in (None, True) else EXIT_VERIFY

@@ -25,7 +25,7 @@ from math import gcd
 from operator import mul
 from typing import Iterable, Optional
 
-from .polyring import MonomialOrder, Polynomial, PolynomialRing, RingError
+from .polyring import Polynomial, PolynomialRing, RingError
 
 
 class BudgetExceededError(RuntimeError):
@@ -60,11 +60,13 @@ class _Overflow(Exception):
 class _Packing:
     """Engine monomials as int pairs (K, E), for one order and field width.
 
-    K is a linear form sum(e_i * w_i) whose integer order is the monomial
-    order.  With W = 2**bits, lex uses w_i = W**(n-1-i) and degrevlex
-    w_i = W**n - W**i (the degree on top, reversed exponents subtracted below
-    it); a block order uses the degrevlex form per block, the front block
-    scaled above any back-block key.  E holds exponent i in bits
+    An order is the frozenset of the variables eliminated first: a block
+    order with degrevlex inside each block, the empty front being plain
+    degrevlex.  K is a linear form sum(e_i * w_i) whose integer order is the
+    monomial order.  With W = 2**bits, a block of n variables gets the
+    degrevlex weights W**n - W**k at its k-th variable (the degree on top,
+    reversed exponents subtracted below it), and the front block is scaled
+    above any back-block key.  E holds exponent i in bits
     [i*(bits+1), i*(bits+1)+bits), each field topped by a zero guard bit, and
     the total degree above all fields, so b divides a iff
     ((a | guard) - b) & guard == guard.  A product of monomials adds the Ks
@@ -73,25 +75,19 @@ class _Packing:
     bounds the degree of every term a step creates) and raises _Overflow.
     """
 
-    def __init__(self, order: MonomialOrder, nvars: int, bits: int):
+    def __init__(self, order: frozenset[int], nvars: int, bits: int):
         self.nvars, self.bits, self.limit = nvars, bits, 1 << bits
         self.stride = bits + 1
         self.shift = nvars * self.stride  # the total degree sits above the fields
         self.ones = sum(1 << (i * self.stride) for i in range(nvars))
         self.guard = self.ones << bits
         W = self.limit
-        if order.scheme != "block":
-            blocks = [(range(nvars), 1)]
-        else:
-            back = [i for i in range(nvars) if i not in order.front]
-            front = sorted(i for i in order.front if i < nvars)
-            blocks = [(front, W ** (len(back) + 1)), (back, 1)]
+        back = [i for i in range(nvars) if i not in order]
         self.weights = [0] * nvars
-        lex = order.scheme == "lex"
-        for block, scale in blocks:
+        for block, scale in ((sorted(order), W ** (len(back) + 1)), (back, 1)):
             n = len(block)
             for k, i in enumerate(block):
-                self.weights[i] = scale * (W ** (n - 1 - k) if lex else W**n - W**k)
+                self.weights[i] = scale * (W**n - W**k)
 
     def pack(self, m: tuple[int, ...]) -> tuple[int, int]:
         e = sum(m)
@@ -399,7 +395,7 @@ class GroebnerBasis:
     wider when an input needs it.
     """
 
-    def __init__(self, ring: PolynomialRing, order: MonomialOrder, packing, engine_polys: list[list]):
+    def __init__(self, ring: PolynomialRing, order: frozenset[int], packing, engine_polys: list[list]):
         self.ring = ring
         self.order = order
         self.polys: tuple[Polynomial, ...] = tuple(
@@ -443,7 +439,11 @@ class GroebnerBasis:
 
 
 class Ideal:
-    """An ideal given by generators, with cached reduced bases per order."""
+    """An ideal given by generators, with cached reduced bases per order.
+
+    An order is the frozenset of the variable indices eliminated first, with
+    degrevlex inside each block; the empty set is plain degrevlex.
+    """
 
     def __init__(self, ring: PolynomialRing, generators: Iterable[Polynomial]):
         self.ring = ring
@@ -452,15 +452,16 @@ class Ideal:
             if g.ring != ring:
                 raise RingError("generator from a different ring")
         self.generators = gens
-        self._cache: dict[MonomialOrder, GroebnerBasis] = {}
+        self._cache: dict[frozenset[int], GroebnerBasis] = {}
 
     def __repr__(self) -> str:
         return f"Ideal({len(self.generators)} generators)"
 
     def groebner_basis(
-        self, order: Optional[MonomialOrder] = None, budget: Optional[ComputeBudget] = None
+        self, order: frozenset[int] = frozenset(), budget: Optional[ComputeBudget] = None
     ) -> GroebnerBasis:
-        order = order or self.ring.ambient_order
+        if not all(0 <= i < self.ring.nvars for i in order):
+            raise RingError(f"order {set(order)} names a variable outside the ring")
         cached = self._cache.get(order)
         if cached is not None:
             return cached
@@ -487,8 +488,8 @@ def eliminate(
 ) -> Ideal:
     """Eliminate the given variables (Variable objects or indices).
 
-    Computes a Groebner basis for the block order with the dropped variables
-    in front and returns, as an ideal of the retained subring, the basis
+    Computes a Groebner basis for the order with the dropped variables in
+    front and returns, as an ideal of the retained subring, the basis
     elements free of dropped variables.
     """
     ring = ideal.ring
@@ -498,8 +499,7 @@ def eliminate(
         if i is None or not 0 <= i < ring.nvars:
             raise RingError(f"cannot drop {v}: not a ring variable")
         drop_idx.add(i)
-    order = MonomialOrder.block(drop_idx)
-    gb = ideal.groebner_basis(order, budget)
+    gb = ideal.groebner_basis(frozenset(drop_idx), budget)
     subring = PolynomialRing([v for i, v in enumerate(ring.variables) if i not in drop_idx])
     return Ideal(
         subring, [p.to_ring(subring) for p in gb.polys if not p.variables_used() & drop_idx]
@@ -514,8 +514,4 @@ def ideal_equal(left: Ideal, right: Ideal, budget: Optional[ComputeBudget] = Non
     """
     if left.ring != right.ring:
         raise RingError("ideals live in different rings")
-    order = left.ring.ambient_order
-    return (
-        left.groebner_basis(order, budget).polys
-        == right.groebner_basis(order, budget).polys
-    )
+    return left.groebner_basis(budget=budget).polys == right.groebner_basis(budget=budget).polys

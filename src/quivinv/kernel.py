@@ -21,14 +21,7 @@ from .invariants import (
     rep_ideal,
     ring_for,
 )
-from .polyring import (
-    MonomialOrder,
-    Polynomial,
-    PolynomialRing,
-    RingError,
-    Variable,
-    fresh_var,
-)
+from .polyring import Polynomial, PolynomialRing, RingError, Variable, fresh_var
 from .quiver import (
     Path,
     Presentation,
@@ -129,7 +122,6 @@ class InvariantPresentation:
     fresh_ring: PolynomialRing
     dictionary: tuple[tuple[Variable, GeneratorEntry], ...]
     defining_ideal: Ideal
-    elimination_order: MonomialOrder
     elimination_ideal: Ideal
 
     def to_jsonable(self) -> dict:
@@ -183,14 +175,12 @@ def present_invariant_ring(
     for g in rep_ideal(pres).generators:
         defining.append(g.to_ring(combined))
     defining_ideal = Ideal(combined, defining)
-    order = MonomialOrder.block(range(arrow_ring.nvars))
-    elim = eliminate(defining_ideal, list(range(arrow_ring.nvars)), budget)
+    elim = eliminate(defining_ideal, range(arrow_ring.nvars), budget)
     return InvariantPresentation(
         combined_ring=combined,
         fresh_ring=elim.ring,
         dictionary=tuple(dictionary),
         defining_ideal=defining_ideal,
-        elimination_order=order,
         elimination_ideal=elim,
     )
 
@@ -202,14 +192,16 @@ def rewrite_in_generators(
 ) -> Polynomial:
     """Express an arrow-variable polynomial in the chosen generators.
 
-    Reduces modulo the defining ideal under the arrow-eliminating block
-    order; succeeds when the normal form involves fresh variables only (the
-    identity then holds modulo the representation ideal), and raises
+    Reduces modulo the basis :func:`present_invariant_ring` eliminated with,
+    the arrow variables (the combined ring's first ones) in front; succeeds
+    when the normal form involves fresh variables only (the identity then
+    holds modulo the representation ideal), and raises
     :class:`NotExpressibleError` otherwise.
     """
     ip = presentation
     f = f.to_ring(ip.combined_ring)
-    gb = ip.defining_ideal.groebner_basis(ip.elimination_order, budget)
+    arrows = frozenset(range(ip.combined_ring.nvars - ip.fresh_ring.nvars))
+    gb = ip.defining_ideal.groebner_basis(arrows, budget)
     nf = gb.normal_form(f, budget)
     try:
         return nf.to_ring(ip.fresh_ring)

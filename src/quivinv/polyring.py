@@ -3,8 +3,9 @@
 Variables are either matrix-entry variables attached to an arrow (printed
 ``x[a;i,j]``) or fresh variables (printed ``label[i,j]``).  A monomial is a
 dense exponent tuple with one entry per ring variable.  Terms are kept sorted
-descending in the ring's ambient order, which also fixes the canonical printed
-form.
+descending in degrevlex, the ring's ambient order, which also fixes the
+canonical printed form.  Other orders exist only inside the Groebner engine
+(:mod:`quivinv.groebner`).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Iterable
 
 ARROW = "arrow"
 FRESH = "fresh"
@@ -99,57 +100,10 @@ def _degrevlex_key(exps: tuple[int, ...]):
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
-    """lex, degrevlex, or a block elimination order.
-
-    A block order compares the front-block exponents first, then the rest,
-    each by degrevlex; any monomial involving a front variable therefore
-    dominates every monomial in the remaining variables.
-    """
-
-    scheme: str
-    front: frozenset[int] = frozenset()
-
-    def __post_init__(self):
-        if self.scheme not in ("lex", "degrevlex", "block"):
-            raise RingError(f"unknown order scheme {self.scheme!r}")
-        if self.scheme != "block" and self.front:
-            raise RingError("front block only makes sense for block orders")
-
-    @staticmethod
-    def lex() -> "MonomialOrder":
-        return MonomialOrder("lex")
-
-    @staticmethod
-    def degrevlex() -> "MonomialOrder":
-        return MonomialOrder("degrevlex")
-
-    @staticmethod
-    def block(front: Iterable[int]) -> "MonomialOrder":
-        return MonomialOrder("block", frozenset(front))
-
-    def key_function(self, nvars: int) -> Callable[[tuple[int, ...]], tuple]:
-        """Key on exponent tuples; larger key means larger monomial."""
-        if self.scheme == "lex":
-            return lambda exps: exps
-        if self.scheme == "degrevlex":
-            return _degrevlex_key
-        front = sorted(i for i in self.front if i < nvars)
-        back = [i for i in range(nvars) if i not in self.front]
-
-        def key(exps: tuple[int, ...]):
-            return _degrevlex_key([exps[i] for i in front]) + _degrevlex_key(
-                [exps[i] for i in back]
-            )
-
-        return key
-
-
 class PolynomialRing:
     """A polynomial ring with a fixed variable tuple; terms sort by degrevlex."""
 
-    ambient_order = MonomialOrder.degrevlex()
+    ambient_order: frozenset[int] = frozenset()  # the engine order that eliminates nothing
 
     def __init__(self, variables: Iterable[Variable]):
         self.variables: tuple[Variable, ...] = tuple(variables)
@@ -184,21 +138,12 @@ class PolynomialRing:
             return self.zero
         return Polynomial(self, (((0,) * self.nvars, c),))
 
-    def monomial(self, exponents: Mapping[int, int]) -> tuple[int, ...]:
-        exps = [0] * self.nvars
-        for i, e in exponents.items():
-            if not 0 <= i < self.nvars:
-                raise RingError(f"variable index {i} out of range")
-            if e < 0:
-                raise RingError("negative exponent")
-            exps[i] = e
-        return tuple(exps)
-
     def var(self, v: Variable | int) -> "Polynomial":
         i = v if isinstance(v, int) else self.index.get(v)
         if i is None or not 0 <= i < self.nvars:
             raise RingError(f"variable {v} not in ring")
-        return Polynomial(self, ((self.monomial({i: 1}), Fraction(1)),))
+        unit = (0,) * i + (1,) + (0,) * (self.nvars - i - 1)
+        return Polynomial(self, ((unit, Fraction(1)),))
 
     def polynomial(self, terms: Iterable[tuple[tuple[int, ...], Fraction]]) -> "Polynomial":
         """Normalize arbitrary (exponent tuple, coefficient) pairs."""

@@ -87,11 +87,13 @@ def _check_product_law(pres: Presentation, rng: random.Random, trials: int) -> C
         for i in range(1, v[qp.head] + 1):
             for j in range(1, v[qp.tail] + 1):
                 lhs = contraction_poly(pres, qp, i, j)
-                rhs = ring_for(pres).zero
-                for k in range(1, v[p.head] + 1):
-                    rhs = rhs + contraction_poly(pres, q, i, k) * contraction_poly(
-                        pres, p, k, j
-                    )
+                rhs = ring_for(pres).polynomial(
+                    t
+                    for k in range(1, v[p.head] + 1)
+                    for t in (
+                        contraction_poly(pres, q, i, k) * contraction_poly(pres, p, k, j)
+                    ).terms
+                )
                 if lhs != rhs:
                     return CheckResult(
                         "product_law",

@@ -4,6 +4,7 @@ from importlib import resources
 
 import pytest
 
+from quivinv import cli
 from quivinv.cli import main
 
 from conftest import A1_TEXT
@@ -155,6 +156,16 @@ class TestPresent:
         code, _, err = run(capsys, "present", kronecker_file, "--max-len", "1", "--compare", str(ref))
         assert code == 2
         assert "zero denominator" in err
+
+    def test_missing_compare_file_fails_before_the_elimination(self, capsys, a1_file, tmp_path, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("present_invariant_ring called before the compare file was read")
+
+        monkeypatch.setattr(cli, "present_invariant_ring", never)
+        missing = str(tmp_path / "missing.txt")
+        code, out, err = run(capsys, "present", str(a1_file), "--compare", missing)
+        assert (code, out) == (2, "")
+        assert "missing.txt" in err
 
     def test_budget_exhaustion_exits_three(self, capsys, a1_file):
         code, _, err = run(

@@ -11,10 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 sympy = pytest.importorskip("sympy")
 
-from quivinv import Ideal, MonomialOrder, PolynomialRing, eliminate, fresh_var
+from quivinv import Ideal, PolynomialRing, eliminate, fresh_var
 
 R = PolynomialRing([fresh_var(n, 1, 1) for n in ("x", "y", "z")])
 SYMS = sympy.symbols("x y z")
+# in two variables, the order that eliminates x first is lex
+R2 = PolynomialRing(R.variables[:2])
 
 
 def to_sympy(poly):
@@ -36,36 +38,45 @@ def from_sympy(expr, ring=R, syms=SYMS):
     return ring.polynomial(terms)
 
 
-small_polys = st.builds(
-    lambda terms: R.polynomial(terms),
-    st.lists(
-        st.tuples(
-            st.builds(
-                tuple,
-                st.lists(st.integers(min_value=0, max_value=2), min_size=3, max_size=3),
+def polys_in(ring):
+    return st.builds(
+        lambda terms: ring.polynomial(terms),
+        st.lists(
+            st.tuples(
+                st.builds(
+                    tuple,
+                    st.lists(
+                        st.integers(min_value=0, max_value=2),
+                        min_size=ring.nvars,
+                        max_size=ring.nvars,
+                    ),
+                ),
+                st.integers(min_value=-4, max_value=4).filter(bool).map(Fraction),
             ),
-            st.integers(min_value=-4, max_value=4).filter(bool).map(Fraction),
+            min_size=1,
+            max_size=3,
         ),
-        min_size=1,
-        max_size=3,
-    ),
-)
+    )
+
+
+small_polys = polys_in(R)
 
 
 @pytest.mark.parametrize(
-    "ours,theirs",
-    [(MonomialOrder.lex(), "lex"), (MonomialOrder.degrevlex(), "grevlex")],
+    "ring,ours,theirs",
+    [(R2, frozenset({0}), "lex"), (R, frozenset(), "grevlex")],
     ids=["lex", "degrevlex"],
 )
-@given(gens=st.lists(small_polys, min_size=1, max_size=3))
+@given(data=st.data())
 @settings(max_examples=40, deadline=None)
-def test_reduced_bases_agree(ours, theirs, gens):
-    gens = [g for g in gens if not g.is_zero]
+def test_reduced_bases_agree(ring, ours, theirs, data):
+    gens = [g for g in data.draw(st.lists(polys_in(ring), min_size=1, max_size=3)) if not g.is_zero]
     if not gens:
         return
-    mine = {str(p) for p in Ideal(R, gens).groebner_basis(ours).polys}
-    reference = sympy.groebner([to_sympy(g) for g in gens], *SYMS, order=theirs, field=True)
-    other = {str(from_sympy(e)) for e in reference.exprs}
+    syms = SYMS[: ring.nvars]
+    mine = {str(p) for p in Ideal(ring, gens).groebner_basis(ours).polys}
+    reference = sympy.groebner([to_sympy(g) for g in gens], *syms, order=theirs, field=True)
+    other = {str(from_sympy(e, ring, syms)) for e in reference.exprs}
     assert mine == other
 
 
@@ -81,8 +92,7 @@ def test_block_order_elimination_agrees_with_lex(gens):
     lex = sympy.groebner([to_sympy(g) for g in gens], *SYMS, order="lex", field=True)
     free = [from_sympy(e, mine.ring, SYMS[1:]) for e in lex.exprs if SYMS[0] not in e.free_symbols]
     theirs = Ideal(mine.ring, free)
-    order = MonomialOrder.degrevlex()
-    assert mine.groebner_basis(order).polys == theirs.groebner_basis(order).polys
+    assert mine.groebner_basis().polys == theirs.groebner_basis().polys
 
 
 def test_worked_example_basis_agrees_with_reference_system():
@@ -91,6 +101,9 @@ def test_worked_example_basis_agrees_with_reference_system():
         R.parse("y[1,1]^2 - x[1,1]"),
         R.parse("x[1,1]*z[1,1] - y[1,1]"),
     ]
-    mine = {str(p) for p in Ideal(R, gens).groebner_basis(MonomialOrder.lex()).polys}
+    # the lex basis is in shape position, x - f(z), y - g(z), h(z) with
+    # deg f, deg g < deg h: the reduced basis of every order that
+    # eliminates x and y first
+    mine = {str(p) for p in Ideal(R, gens).groebner_basis(frozenset({0, 1})).polys}
     reference = sympy.groebner([to_sympy(g) for g in gens], *SYMS, order="lex", field=True)
     assert mine == {str(from_sympy(e)) for e in reference.exprs}

@@ -178,6 +178,14 @@ class TestRewrite:
         with pytest.raises(NotExpressibleError, match="not expressible"):
             rewrite_in_generators(x, a1_presented)
 
+    def test_rewrite_reuses_the_elimination_basis(self, a1, a1_presented):
+        # rewriting reduces by the basis the elimination built: no pair is
+        # spent and the defining ideal caches that one basis only
+        budget = ComputeBudget()
+        rewrite_in_generators(trace_poly(a1, path_from_word(a1.quiver, "fc")), a1_presented, budget)
+        assert budget.pairs_used == 0
+        assert len(a1_presented.defining_ideal._cache) == 1
+
     def test_defining_generator_rewrites_into_elimination_ideal(self, a1, a1_presented):
         g1 = a1.relation("g1").element
         got = rewrite_in_generators(contraction_poly(a1, g1, 1, 1), a1_presented)
