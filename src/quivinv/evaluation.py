@@ -9,10 +9,11 @@ Randomness is always seeded and the seeds are recorded in reports.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .polyring import ARROW, Polynomial, RingError
 from .quiver import Path, Presentation, QuiverError, framed_quiver
@@ -195,11 +196,40 @@ class CheckResult:
     passed: bool
     witness: Optional[dict] = None
 
+    @classmethod
+    def of(cls, name: str, outcomes: Iterable, trials: Optional[int] = None) -> CheckResult:
+        """Run a check given as one outcome per trial: ``None`` for a pass, or
+        a witness dict, which ends the check.  At most ``trials`` outcomes are
+        consumed, and the trials reported are the outcomes consumed."""
+        done = 0
+        for done, witness in enumerate(itertools.islice(outcomes, trials), 1):
+            if witness is not None:
+                return cls(name, done, False, witness)
+        return cls(name, done, True)
+
     def to_jsonable(self) -> dict:
         out = {"name": self.name, "trials": self.trials, "pass": self.passed}
         if self.witness is not None:
             out["witness"] = self.witness
         return out
+
+
+def _invariance_outcomes(entries, pres: Presentation, seed: int):
+    rng = random.Random(seed)
+    for trial in itertools.count() if entries else ():
+        rep_seed = rng.randrange(2**31)
+        grp_seed = rng.randrange(2**31)
+        point = random_rep(pres, rep_seed)
+        moved = act(pres, random_group(pres, grp_seed), point)
+        for label, f in entries:
+            lhs = eval_poly(f, pres, moved)
+            rhs = eval_poly(f, pres, point)
+            if lhs != rhs:
+                yield dict(
+                    trial=trial, rep_seed=rep_seed, group_seed=grp_seed, generator=label,
+                    moved=str(lhs), original=str(rhs), polynomial=str(f),
+                )
+        yield None
 
 
 def check_invariance(
@@ -214,21 +244,4 @@ def check_invariance(
     every entry shares; reports the first counterexample."""
     if trials < 1:
         raise QuiverError("trials must be >= 1")
-    if not entries:
-        return CheckResult(name, 0, True)
-    rng = random.Random(seed)
-    for trial in range(trials):
-        rep_seed = rng.randrange(2**31)
-        grp_seed = rng.randrange(2**31)
-        point = random_rep(pres, rep_seed)
-        moved = act(pres, random_group(pres, grp_seed), point)
-        for label, f in entries:
-            lhs = eval_poly(f, pres, moved)
-            rhs = eval_poly(f, pres, point)
-            if lhs != rhs:
-                witness = dict(
-                    trial=trial, rep_seed=rep_seed, group_seed=grp_seed, generator=label,
-                    moved=str(lhs), original=str(rhs), polynomial=str(f),
-                )
-                return CheckResult(name, trial + 1, False, witness)
-    return CheckResult(name, trials, True)
+    return CheckResult.of(name, _invariance_outcomes(entries, pres, seed), trials)

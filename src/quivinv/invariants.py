@@ -215,7 +215,6 @@ def lusztig_generators(
     return GeneratorSet(tuple(_apply_selection(entries, select)))
 
 
-@lru_cache(maxsize=None)
 def rep_ideal(pres: Presentation) -> Ideal:
     """Ideal cutting out the representation scheme: all contraction
     polynomials of the relations, in declaration then row-major order."""

@@ -1,8 +1,11 @@
 """Seeded verification suite tying the symbolic layer to matrix arithmetic.
 
-Each check is exact: a pass means literal equality held on every trial, a
-failure carries the first witness found.  The suite is deterministic in the
-seed and is surfaced through the CLI ``verify`` subcommand.
+A check is a generator that yields one outcome per trial: ``None`` for a
+pass, or a witness dict, and its first witness ends it.  :meth:`CheckResult.of`
+runs it and reports the outcomes consumed as its trials; a check that draws
+random trials draws until the runner's cap stops it.  Each check is exact: a
+pass means literal equality held on every trial.  The suite is deterministic
+in the seed and is surfaced through the CLI ``verify`` subcommand.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from .evaluation import (
     path_product,
     random_rep,
 )
-from .groebner import ComputeBudget, Ideal
+from .groebner import ComputeBudget, GroebnerBasis, Ideal
 from .invariants import (
     contraction_poly,
     element_matrix,
@@ -67,23 +70,18 @@ def _path_pool(pres: Presentation, max_len: int = 4):
     return enumerate_paths(q, q.vertices, q.vertices, max_len)
 
 
-def _check_product_law(pres: Presentation, rng: random.Random, trials: int) -> CheckResult:
-    """Contraction of a composite equals the matrix-product sum of contractions."""
+def _product_law(pres: Presentation, rng: random.Random, trials: int):
+    """Contraction of a composite equals the matrix-product sum of contractions;
+    a draw with no continuation is not a trial, and at most ``4 * trials`` are made."""
     v = pres.dims
     pool = _path_pool(pres, 3)
-    if not pool:
-        return CheckResult("product_law", 0, True)
-    done = 0
-    for _ in range(trials * 4):
-        if done >= trials:
-            break
+    for _ in range(4 * trials if pool else 0):
         p = rng.choice(pool)
         continuations = [qq for qq in pool if qq.tail == p.head]
         if not continuations:
             continue
         q = rng.choice(continuations)
         qp = compose(q, p)
-        done += 1
         for i in range(1, v[qp.head] + 1):
             for j in range(1, v[qp.tail] + 1):
                 lhs = contraction_poly(pres, qp, i, j)
@@ -95,37 +93,26 @@ def _check_product_law(pres: Presentation, rng: random.Random, trials: int) -> C
                     ).terms
                 )
                 if lhs != rhs:
-                    return CheckResult(
-                        "product_law",
-                        done,
-                        False,
-                        {"q": q.word, "p": p.word, "i": i, "j": j},
-                    )
-    return CheckResult("product_law", done, True)
+                    yield {"q": q.word, "p": p.word, "i": i, "j": j}
+        yield None
 
 
-def _check_trace_rotation(pres: Presentation, rng: random.Random, trials: int) -> CheckResult:
+def _trace_rotation(pres: Presentation, rng: random.Random):
     cycles = [p for p in _path_pool(pres, 4) if p.is_cycle]
-    if not cycles:
-        return CheckResult("trace_rotation", 0, True)
-    for trial in range(trials):
+    while cycles:
         gamma = rng.choice(cycles)
         base = trace_poly(pres, gamma)
         for rot in rotations(gamma, pres.quiver):
             if trace_poly(pres, rot) != base:
-                return CheckResult(
-                    "trace_rotation", trial + 1, False, {"cycle": gamma.word, "rotation": rot.word}
-                )
-    return CheckResult("trace_rotation", trials, True)
+                yield {"cycle": gamma.word, "rotation": rot.word}
+        yield None
 
 
-def _check_eval_oracle(pres: Presentation, rng: random.Random, trials: int) -> CheckResult:
+def _evaluation_oracle(pres: Presentation, rng: random.Random):
     """Symbolic-then-evaluate equals multiply-matrices-then-read."""
     v = pres.dims
     pool = _path_pool(pres, 4)
-    if not pool:
-        return CheckResult("evaluation_oracle", 0, True)
-    for trial in range(trials):
+    while pool:
         p = rng.choice(pool)
         point = random_rep(pres, rng.randrange(2**31))
         product = path_product(pres, point, p)
@@ -133,37 +120,20 @@ def _check_eval_oracle(pres: Presentation, rng: random.Random, trials: int) -> C
             for j in range(1, v[p.tail] + 1):
                 symb = eval_poly(contraction_poly(pres, p, i, j), pres, point)
                 if symb != product[i - 1][j - 1]:
-                    return CheckResult(
-                        "evaluation_oracle", trial + 1, False, {"path": p.word, "i": i, "j": j}
-                    )
-        if p.is_cycle:
-            if eval_poly(trace_poly(pres, p), pres, point) != mat_trace(product):
-                return CheckResult(
-                    "evaluation_oracle", trial + 1, False, {"path": p.word, "kind": "trace"}
-                )
-    return CheckResult("evaluation_oracle", trials, True)
+                    yield {"path": p.word, "i": i, "j": j}
+        if p.is_cycle and eval_poly(trace_poly(pres, p), pres, point) != mat_trace(product):
+            yield {"path": p.word, "kind": "trace"}
+        yield None
 
 
-def _check_kernel_membership(
-    pres: Presentation, kernel, budget: Optional[ComputeBudget]
-) -> CheckResult:
-    """Every kernel generator reduces to zero modulo the representation ideal
-    of ``pres``."""
-    gb = rep_ideal(pres).groebner_basis(budget=budget)
-    for n, gen in enumerate(kernel, 1):
-        if not gb.reduces_to_zero(gen.polynomial, budget):
-            return CheckResult(
-                "kernel_membership",
-                n,
-                False,
-                {"generator": gen.label, "normal_form": str(gb.normal_form(gen.polynomial))},
-            )
-    return CheckResult("kernel_membership", len(kernel), True)
+def _kernel_membership(gb: GroebnerBasis, kernel, budget: Optional[ComputeBudget]):
+    """Every kernel generator reduces to zero modulo the representation ideal's basis."""
+    for gen in kernel:
+        nf = gb.normal_form(gen.polynomial, budget)
+        yield None if nf.is_zero else {"generator": gen.label, "normal_form": str(nf)}
 
 
-def _check_traversal(
-    pres: Presentation, rng: random.Random, trials: int, budget: Optional[ComputeBudget]
-) -> CheckResult:
+def _traversal(pres: Presentation, rng: random.Random, budget: Optional[ComputeBudget]):
     """A contraction lies in an arrow's entry ideal iff the path uses the arrow.
 
     A zero contraction, from a path through a zero-dimensional vertex, lies in
@@ -173,10 +143,8 @@ def _check_traversal(
     v = pres.dims
     pool = _path_pool(pres, 4)
     arrows = pres.quiver.arrows
-    if not pool or not arrows:
-        return CheckResult("traversal", 0, True)
     ideals = {}
-    for trial in range(trials):
+    while pool and arrows:
         p = rng.choice(pool)
         a = arrows[rng.randrange(len(arrows))]
         if a.name not in ideals:
@@ -192,28 +160,23 @@ def _check_traversal(
             for j in range(1, v[p.tail] + 1):
                 poly = contraction_poly(pres, p, i, j)
                 if gb.reduces_to_zero(poly, budget) != (traverses or poly.is_zero):
-                    return CheckResult(
-                        "traversal",
-                        trial + 1,
-                        False,
-                        {"path": p.word, "arrow": a.name, "i": i, "j": j},
-                    )
-    return CheckResult("traversal", trials, True)
+                    yield {"path": p.word, "arrow": a.name, "i": i, "j": j}
+        yield None
 
 
-def _check_lift_independence(
-    pres: Presentation, rng: random.Random, trials: int, budget: Optional[ComputeBudget]
-) -> CheckResult:
-    """Adding a sandwiched relation to a lift does not change the restriction."""
-    if not pres.relations:
-        return CheckResult("lift_independence", 0, True)
+def _lift_independence(
+    pres: Presentation,
+    rng: random.Random,
+    trials: int,
+    gb: GroebnerBasis,
+    budget: Optional[ComputeBudget],
+):
+    """Adding a sandwiched relation to a lift does not change the restriction modulo
+    the representation ideal's basis ``gb``; a draw with no base path of the
+    sandwich's shape is not a trial, and at most ``6 * trials`` are made."""
     q = pres.quiver
-    gb = rep_ideal(pres).groebner_basis(budget=budget)
     pool = _path_pool(pres, 2)
-    done = 0
-    for _ in range(trials * 6):
-        if done >= trials:
-            break
+    for _ in range(6 * trials if pres.relations else 0):
         rel = pres.relations[rng.randrange(len(pres.relations))]
         g = rel.element
         us = [p for p in pool if p.tail == g.head] + [trivial_path(g.head)]
@@ -228,29 +191,20 @@ def _check_lift_independence(
         shifted = algebra_element(
             q, ugw.head, ugw.tail, list(element_of_path(base).terms) + list(ugw.terms)
         )
-        done += 1
         for lhs_row, rhs_row in zip(element_matrix(pres, shifted), element_matrix(pres, base)):
             for lhs, rhs in zip(lhs_row, rhs_row):
                 if gb.normal_form(lhs, budget) != gb.normal_form(rhs, budget):
-                    return CheckResult(
-                        "lift_independence",
-                        done,
-                        False,
-                        {"relation": rel.name, "u": u.word, "w": w.word, "base": base.word},
-                    )
-    return CheckResult("lift_independence", done, True)
+                    yield {"relation": rel.name, "u": u.word, "w": w.word, "base": base.word}
+        yield None
 
 
-def _check_framed_correspondence(
-    pres: Presentation, rng: random.Random, points: int = 3
-) -> CheckResult:
-    """Framed trace equals the contraction function at matching points."""
+def _framed_correspondence(pres: Presentation, rng: random.Random, points: int = 3):
+    """Framed trace equals the contraction function, one random point per trial."""
     q = pres.quiver
     v = pres.dims
     K = pres.frozen_vertices
     into = [a for a in q.arrows if a.tail not in K and a.head in K]
     out_of = [a for a in q.arrows if a.tail in K and a.head not in K]
-    checked = 0
     for b in into:
         for c in out_of:
             if c.tail != b.head:
@@ -263,15 +217,7 @@ def _check_framed_correspondence(
                         point = random_rep(pres, rng.randrange(2**31))
                         lhs = framed_trace(pres, framed_cycle, point)
                         rhs = eval_poly(poly, pres, point)
-                        checked += 1
-                        if lhs != rhs:
-                            return CheckResult(
-                                "framed_correspondence",
-                                checked,
-                                False,
-                                {"b": b.name, "c": c.name, "i": i, "j": j},
-                            )
-    return CheckResult("framed_correspondence", checked, True)
+                        yield None if lhs == rhs else {"b": b.name, "c": c.name, "i": i, "j": j}
 
 
 def _random_quiver(rng: random.Random) -> Quiver:
@@ -285,9 +231,9 @@ def _random_quiver(rng: random.Random) -> Quiver:
     return Quiver(vertices, arrows)
 
 
-def _check_path_counts(rng: random.Random, quivers: int = 5, max_len: int = 5) -> CheckResult:
-    """Path counts per endpoint pair match powers of the arrow-count matrix."""
-    for checked in range(1, quivers + 1):
+def _path_count_oracle(rng: random.Random, max_len: int = 5):
+    """Path counts match powers of the arrow-count matrix, one random quiver per trial."""
+    while True:
         q = _random_quiver(rng)
         n = len(q.vertices)
         idx = {v: k for k, v in enumerate(q.vertices)}
@@ -309,13 +255,8 @@ def _check_path_counts(rng: random.Random, quivers: int = 5, max_len: int = 5) -
                 for t in q.vertices:
                     found = counts.get((s, t, length), 0)
                     if found != power[idx[t]][idx[s]]:
-                        return CheckResult(
-                            "path_count_oracle",
-                            checked,
-                            False,
-                            {"from": s, "to": t, "length": length, "count": found},
-                        )
-    return CheckResult("path_count_oracle", quivers, True)
+                        yield {"from": s, "to": t, "length": length, "count": found}
+        yield None
 
 
 @dataclass
@@ -358,22 +299,21 @@ def run_verification(
     )
     rng = random.Random(seed)
     gen_pres = _mutated(pres) if mutate else pres
-    report.checks.append(_check_product_law(pres, rng, 50))
-    report.checks.append(_check_trace_rotation(pres, rng, 50))
-    report.checks.append(_check_eval_oracle(pres, rng, 30))
+    checks = report.checks
+    checks.append(CheckResult.of("product_law", _product_law(pres, rng, 50), 50))
+    checks.append(CheckResult.of("trace_rotation", _trace_rotation(pres, rng), 50))
+    checks.append(CheckResult.of("evaluation_oracle", _evaluation_oracle(pres, rng), 30))
     lusztig = lusztig_generators(pres, max_len) if max_len >= 1 else []
     entries = [(e.label, e.polynomial) for e in lusztig]
-    report.checks.append(
-        check_invariance(entries, pres, 20, rng.randrange(2**31), "lusztig_invariance")
-    )
+    checks.append(check_invariance(entries, pres, 20, rng.randrange(2**31), "lusztig_invariance"))
     kernel = kernel_generators(gen_pres, max_u, max_w)
     entries = [(k.label, k.polynomial) for k in kernel]
-    report.checks.append(
-        check_invariance(entries, pres, 20, rng.randrange(2**31), "kernel_invariance")
-    )
-    report.checks.append(_check_kernel_membership(pres, kernel, budget))
-    report.checks.append(_check_traversal(pres, rng, 30, budget))
-    report.checks.append(_check_lift_independence(pres, rng, 30, budget))
-    report.checks.append(_check_framed_correspondence(pres, rng))
-    report.checks.append(_check_path_counts(rng))
+    checks.append(check_invariance(entries, pres, 20, rng.randrange(2**31), "kernel_invariance"))
+    gb = rep_ideal(pres).groebner_basis(budget=budget)
+    checks.append(CheckResult.of("kernel_membership", _kernel_membership(gb, kernel, budget)))
+    checks.append(CheckResult.of("traversal", _traversal(pres, rng, budget), 30))
+    lift = _lift_independence(pres, rng, 30, gb, budget)
+    checks.append(CheckResult.of("lift_independence", lift, 30))
+    checks.append(CheckResult.of("framed_correspondence", _framed_correspondence(pres, rng)))
+    checks.append(CheckResult.of("path_count_oracle", _path_count_oracle(rng), 5))
     return report

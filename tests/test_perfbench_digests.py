@@ -1,10 +1,11 @@
-"""The benchmark's smoke jobs print exactly what ``perfbench/digests.json`` records.
+"""The benchmark's jobs print exactly what ``perfbench/digests.json`` records.
 
-Each of the six (1,1) jobs of ``perfbench/run.py``'s ``SMOKE`` runs through
-``cli.main`` with the harness's own argv, and the sha256 of its stdout is
-compared with the recorded digest. A change to a random stream or to the output format then
-fails here, not only in the benchmark. Files under ``perfbench/`` are only
-read; the (1,1) quiver is written to a temporary directory.
+Each of the six (1,1) jobs of ``perfbench/run.py``'s ``SMOKE``, and one seed of
+the ``verify-a1-32`` workload, runs through ``cli.main`` with the harness's own
+argv, and the sha256 of its stdout is compared with the recorded digest. A
+change to a random stream or to the output format then fails here, not only
+in the benchmark. Files under ``perfbench/`` are only read; the quiver is
+written to a temporary directory.
 """
 
 import hashlib
@@ -35,6 +36,8 @@ JOBS = {
     for w in RUN.SMOKE.values()
     for seed in (range(RUN.VERIFY_SEEDS) if w.command == "verify" else [0])
 }
+VERIFY = RUN.WORKLOADS["verify-a1-32"]
+PINNED = {**JOBS, VERIFY.digest_key(1): (VERIFY, 1)}  # and one job at dims (3,2)
 
 
 def test_every_smoke_job_has_a_digest():
@@ -42,9 +45,9 @@ def test_every_smoke_job_has_a_digest():
     assert set(JOBS) <= set(DIGESTS)
 
 
-@pytest.mark.parametrize("key", sorted(JOBS))
+@pytest.mark.parametrize("key", sorted(PINNED))
 def test_smoke_stdout_matches_the_recorded_digest(key, capsys, monkeypatch, tmp_path):
-    workload, seed = JOBS[key]
+    workload, seed = PINNED[key]
     # the quiver Workload.quiver() writes: the bundled file with [dims] changed
     dims = "[dims]\n0 = {}\n1 = {}\n"
     text = (RUN.ROOT / RUN.BUNDLED).read_text("utf-8")

@@ -3,6 +3,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from quivinv import (
     AlgebraElement,
@@ -10,10 +11,12 @@ from quivinv import (
     ComputeBudget,
     kernel_generators,
     path_from_word,
+    rep_ideal,
     ring_for,
     run_verification,
     verification,
 )
+from quivinv.evaluation import CheckResult
 from quivinv.groebner import GroebnerBasis
 
 
@@ -83,8 +86,9 @@ def test_failed_checks_report_the_trials_done(a1, monkeypatch):
     monkeypatch.setattr(verification, "contraction_poly", broken)
     monkeypatch.setattr(verification, "element_matrix", broken_matrix)
     rng = random.Random(0)
-    product = verification._check_product_law(a1, rng, 50)
-    lift = verification._check_lift_independence(a1, rng, 30, None)
+    gb = rep_ideal(a1).groebner_basis()
+    product = CheckResult.of("product_law", verification._product_law(a1, rng, 50), 50)
+    lift = CheckResult.of("lift", verification._lift_independence(a1, rng, 30, gb, None), 30)
     assert (product.passed, product.trials) == (False, 1)
     assert (lift.passed, lift.trials) == (False, 1)
 
@@ -101,9 +105,9 @@ def test_more_failed_checks_report_the_trials_done(a1, monkeypatch):
     monkeypatch.setattr(verification, "eval_poly", lambda poly, pres, point: None)
     monkeypatch.setattr(verification, "contraction_poly", lambda pres, p, i, j: ring.one)
     rng = random.Random(0)
-    rotation = verification._check_trace_rotation(a1, rng, 50)
-    oracle = verification._check_eval_oracle(a1, rng, 30)
-    traversal = verification._check_traversal(a1, rng, 30, None)
+    rotation = CheckResult.of("rotation", verification._trace_rotation(a1, rng), 50)
+    oracle = CheckResult.of("oracle", verification._evaluation_oracle(a1, rng), 30)
+    traversal = CheckResult.of("traversal", verification._traversal(a1, rng, None), 30)
     assert (rotation.passed, rotation.trials) == (False, 1)
     assert (oracle.passed, oracle.trials) == (False, 1)
     assert (traversal.passed, traversal.trials) == (False, 1)
@@ -112,23 +116,67 @@ def test_more_failed_checks_report_the_trials_done(a1, monkeypatch):
 def test_kernel_membership_reports_the_generators_checked(a1, monkeypatch):
     # no generator reduces to zero, so the check fails on the first one
     kernel = kernel_generators(a1, 1, 1)
-    monkeypatch.setattr(GroebnerBasis, "reduces_to_zero", lambda self, f, budget=None: False)
-    result = verification._check_kernel_membership(a1, kernel, None)
+    gb = rep_ideal(a1).groebner_basis()
+    monkeypatch.setattr(GroebnerBasis, "normal_form", lambda self, f, budget=None: f)
+    result = CheckResult.of("membership", verification._kernel_membership(gb, kernel, None))
     assert len(kernel) > 1
     assert (result.passed, result.trials) == (False, 1)
-    assert result.witness["generator"] == kernel[0].label
+    assert result.witness == {
+        "generator": kernel[0].label, "normal_form": str(kernel[0].polynomial)
+    }
 
 
 def test_path_counts_report_the_quivers_checked(monkeypatch):
     # no path is ever found, so the first random quiver's arrows disagree
     monkeypatch.setattr(verification, "enumerate_paths", lambda *args: [])
-    result = verification._check_path_counts(random.Random(0))
+    result = CheckResult.of("counts", verification._path_count_oracle(random.Random(0)), 5)
     assert (result.passed, result.trials) == (False, 1)
 
 
 def test_traversal_spends_the_given_budget(a1):
+    def traversal(budget):
+        return CheckResult.of("t", verification._traversal(a1, random.Random(0), budget), 30)
+
     budget = ComputeBudget()
-    assert verification._check_traversal(a1, random.Random(0), 30, budget).passed
+    assert traversal(budget).passed
     assert budget.steps_used > 0
     with pytest.raises(BudgetExceededError):
-        verification._check_traversal(a1, random.Random(0), 30, ComputeBudget(max_steps=0))
+        traversal(ComputeBudget(max_steps=0))
+
+
+def test_no_basis_outlives_a_run(a1):
+    run_verification(a1, seed=0)
+    assert rep_ideal(a1)._cache == {}
+
+
+outcome_lists = st.lists(st.one_of(st.none(), st.dictionaries(st.text(), st.integers())))
+
+
+@given(outcome_lists, st.one_of(st.none(), st.integers(0, 10)))
+def test_runner_reports_the_first_witness_and_the_outcomes_consumed(outcomes, cap):
+    seen = outcomes[:cap]
+    result = CheckResult.of("c", iter(outcomes), cap)
+    first = next((k for k, w in enumerate(seen) if w is not None), None)
+    if first is None:
+        assert (result.passed, result.trials, result.witness) == (True, len(seen), None)
+    else:
+        assert (result.passed, result.trials) == (False, first + 1)
+        assert result.witness is seen[first]
+
+
+@given(st.integers(0, 50))
+def test_runner_resumes_an_endless_check_once_per_trial_up_to_its_cap(cap):
+    resumed = 0
+
+    def endless():
+        nonlocal resumed
+        while True:
+            resumed += 1
+            yield None
+
+    result = CheckResult.of("c", endless(), cap)
+    assert (result.passed, result.trials, resumed) == (True, cap, cap)
+
+
+def test_runner_with_no_outcomes_passes_with_no_trials():
+    assert CheckResult.of("c", iter(())) == CheckResult("c", 0, True)
