@@ -12,7 +12,9 @@ lacks and returns the same first divisor a linear scan would.  Reduction
 work is metered by a :class:`ComputeBudget` and aborts with
 :class:`BudgetExceededError` rather than truncating silently.
 Everything runs sequentially; the reduced basis is unique per order, so the
-printed result is deterministic by construction.
+printed result is deterministic by construction.  Nothing is cached: each
+:meth:`Ideal.groebner_basis` call builds a basis that its caller owns, and
+:func:`eliminate` reads an elimination ideal off such a basis.
 """
 
 from __future__ import annotations
@@ -252,10 +254,9 @@ def _normal_form(
 ):
     """Fraction-free full reduction by the reducers not in the bitset ``skip``.
 
-    Returns (emitted, alpha, sugar) where emitted is a list of
-    (K, E, coeff, alpha_at_emission): the true normal form of f has
-    rational coefficients coeff / alpha_at_emission, and alpha * f is
-    congruent to the integer polynomial assembled by :func:`_nf_int`.
+    Returns (out, alpha, sugar): out is an engine polynomial congruent to
+    alpha * f and reduced, so the normal form of f is out / alpha.  When
+    alpha grows, the terms already emitted are rescaled with the rest.
     """
     packing = reducers.packing
     shift, limit = packing.shift, packing.limit
@@ -266,7 +267,7 @@ def _normal_form(
         k, m, c = work.pop()
         red = reducers.find(m, skip)
         if red is None:
-            out.append((k, m, c, alpha))
+            out.append((k, m, c))
             continue
         budget.spend_step()
         step_sugar = red.sugar + (m >> shift) - red.deg
@@ -279,13 +280,9 @@ def _normal_form(
         if a_scale != 1:
             alpha *= a_scale
             work = [(wk, we, wc * a_scale) for wk, we, wc in work]
+            out = [(ok, oe, oc * a_scale) for ok, oe, oc in out]
         _add_into(work, red.tail, k - red.lk, m - red.lm, -(c // d))
     return out, alpha, sugar
-
-
-def _nf_int(emitted: list, alpha: int) -> list:
-    """Integer polynomial congruent to alpha * f modulo the reducers."""
-    return [(k, m, c * (alpha // a)) for k, m, c, a in emitted]
 
 
 def _spoly(fi: _Reducer, fj: _Reducer, lk: int, lm: int) -> list:
@@ -359,9 +356,9 @@ def _buchberger(inputs: list[list], packing: _Packing, budget: ComputeBudget) ->
         s = _spoly(basis[i], basis[j], lk, lm)
         if not s:
             continue
-        emitted, alpha, hsug = _normal_form(s, reducers, budget, sug)
-        if emitted:
-            add_element(_primitive(_nf_int(emitted, alpha)), hsug)
+        h, _, hsug = _normal_form(s, reducers, budget, sug)
+        if h:
+            add_element(_primitive(h), hsug)
 
     return _interreduce([r.terms for r in basis], packing, budget)
 
@@ -379,8 +376,8 @@ def _interreduce(polys: list[list], packing: _Packing, budget: ComputeBudget) ->
     # keeps it and the index stays valid as each element is replaced
     reducers = index.reducers
     for idx, r in enumerate(reducers):
-        emitted, alpha, _ = _normal_form(r.terms, index, budget, skip=1 << idx)
-        reducers[idx] = _reducer_of(_primitive(_nf_int(emitted, alpha)), shift)
+        h, _, _ = _normal_form(r.terms, index, budget, skip=1 << idx)
+        reducers[idx] = _reducer_of(_primitive(h), shift)
     return sorted((r.terms for r in reducers), key=lambda p: p[0][0])
 
 
@@ -420,7 +417,7 @@ class GroebnerBasis:
             packing = self._reducers.packing
             try:
                 engine_f, denom = _to_engine(f, packing)
-                emitted, _, _ = _normal_form(engine_f, self._reducers, budget)
+                h, alpha, _ = _normal_form(engine_f, self._reducers, budget)
                 break
             except _Overflow:
                 budget.steps_used = spent
@@ -429,9 +426,8 @@ class GroebnerBasis:
                 self._reducers = _Reducers(
                     wider, (_reducer_of(p, wider.shift) for p in engine_polys)
                 )
-        return self.ring.polynomial(
-            [(packing.unpack(m), Fraction(c, a * denom)) for _, m, c, a in emitted]
-        )
+        denom *= alpha
+        return self.ring.polynomial([(packing.unpack(m), Fraction(c, denom)) for _, m, c in h])
 
     def reduces_to_zero(self, f: Polynomial, budget: Optional[ComputeBudget] = None) -> bool:
         """Ideal membership: whether f has normal form zero."""
@@ -439,7 +435,7 @@ class GroebnerBasis:
 
 
 class Ideal:
-    """An ideal given by generators, with cached reduced bases per order.
+    """An ideal given by generators; :meth:`groebner_basis` builds a new basis per call.
 
     An order is the frozenset of the variable indices eliminated first, with
     degrevlex inside each block; the empty set is plain degrevlex.
@@ -452,7 +448,6 @@ class Ideal:
             if g.ring != ring:
                 raise RingError("generator from a different ring")
         self.generators = gens
-        self._cache: dict[frozenset[int], GroebnerBasis] = {}
 
     def __repr__(self) -> str:
         return f"Ideal({len(self.generators)} generators)"
@@ -460,11 +455,8 @@ class Ideal:
     def groebner_basis(
         self, order: frozenset[int] = frozenset(), budget: Optional[ComputeBudget] = None
     ) -> GroebnerBasis:
-        if not all(0 <= i < self.ring.nvars for i in order):
+        if not all(isinstance(i, int) and 0 <= i < self.ring.nvars for i in order):
             raise RingError(f"order {set(order)} names a variable outside the ring")
-        cached = self._cache.get(order)
-        if cached is not None:
-            return cached
         budget = budget or ComputeBudget()
         spent = budget.pairs_used, budget.steps_used
         # first field width: room for four times the largest input degree
@@ -478,31 +470,19 @@ class Ideal:
             except _Overflow:  # start over at double width, as if never begun
                 budget.pairs_used, budget.steps_used = spent
                 bits *= 2
-        gb = GroebnerBasis(self.ring, order, packing, basis)
-        self._cache[order] = gb
-        return gb
+        return GroebnerBasis(self.ring, order, packing, basis)
 
 
-def eliminate(
-    ideal: Ideal, drop: Iterable, budget: Optional[ComputeBudget] = None
-) -> Ideal:
-    """Eliminate the given variables (Variable objects or indices).
+def eliminate(basis: GroebnerBasis) -> Ideal:
+    """The elimination ideal of a basis computed with variables in front.
 
-    Computes a Groebner basis for the order with the dropped variables in
-    front and returns, as an ideal of the retained subring, the basis
-    elements free of dropped variables.
+    Returns the basis elements free of the front block (``basis.order``), as
+    an ideal of the ring of the remaining variables.
     """
-    ring = ideal.ring
-    drop_idx: set[int] = set()
-    for v in drop:
-        i = v if isinstance(v, int) else ring.index.get(v)
-        if i is None or not 0 <= i < ring.nvars:
-            raise RingError(f"cannot drop {v}: not a ring variable")
-        drop_idx.add(i)
-    gb = ideal.groebner_basis(frozenset(drop_idx), budget)
-    subring = PolynomialRing([v for i, v in enumerate(ring.variables) if i not in drop_idx])
+    ring, front = basis.ring, basis.order
+    subring = PolynomialRing([v for i, v in enumerate(ring.variables) if i not in front])
     return Ideal(
-        subring, [p.to_ring(subring) for p in gb.polys if not p.variables_used() & drop_idx]
+        subring, [p.to_ring(subring) for p in basis.polys if not p.variables_used() & front]
     )
 
 

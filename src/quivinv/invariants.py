@@ -11,7 +11,6 @@ endpoints outside it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 from .groebner import Ideal
@@ -31,54 +30,59 @@ from .quiver import (
 Source = Union[Path, AlgebraElement]
 
 
-@lru_cache(maxsize=None)
 def ring_for(pres: Presentation) -> PolynomialRing:
     """Coordinate ring: one variable per arrow and matrix entry, ordered by
-    arrow declaration then row-major indices."""
-    variables = []
-    v = pres.dims
-    for a in pres.quiver.arrows:
-        for i in range(1, v[a.head] + 1):
-            for j in range(1, v[a.tail] + 1):
-                variables.append(arrow_var(a.name, i, j))
-    return PolynomialRing(variables)
+    arrow declaration then row-major indices; built once, in ``pres.derived``."""
+    if "ring" not in pres.derived:
+        v = pres.dims
+        pres.derived["ring"] = PolynomialRing(
+            arrow_var(a.name, i, j)
+            for a in pres.quiver.arrows
+            for i in range(1, v[a.head] + 1)
+            for j in range(1, v[a.tail] + 1)
+        )
+    return pres.derived["ring"]
 
 
 Matrix = tuple[tuple[Polynomial, ...], ...]
 
 
-@lru_cache(maxsize=None)
 def path_matrix(pres: Presentation, path: Path) -> Matrix:
     """Symbolic matrix of the product along a path (rows v_head, cols v_tail).
 
     With ``a`` the last arrow and ``rest`` the matrix of the path before it,
     entry (i,j) is the sum over k of x[a;i,k] * rest[k][j]; an empty sum, at a
-    zero-dimensional vertex, is zero.
+    zero-dimensional vertex, is zero.  Built once, in ``pres.derived``.
     """
+    if (matrix := pres.derived.get(path)) is not None:
+        return matrix
     ring = ring_for(pres)
     v = pres.dims
     if path.is_trivial:
         n = v[path.tail]
-        return tuple(tuple(ring.one if i == j else ring.zero for j in range(n)) for i in range(n))
-    a = pres.quiver.arrow(path.arrows[-1])
-    rest = path_matrix(pres, Path(path.arrows[:-1], path.tail, a.tail))
-    # xs[i][k] is the index of x[a;i+1,k+1]; a term m of rest[k][j] times
-    # that variable raises m's exponent there by one
-    xs = [
-        [ring.index[arrow_var(a.name, i, k)] for k in range(1, v[a.tail] + 1)]
-        for i in range(1, v[a.head] + 1)
-    ]
-    return tuple(
-        tuple(
-            ring.polynomial(
-                (m[:x] + (m[x] + 1,) + m[x + 1 :], c)
-                for x, rest_row in zip(row, rest)
-                for m, c in rest_row[j].terms
+        matrix = tuple(tuple(ring.one if i == j else ring.zero for j in range(n)) for i in range(n))
+    else:
+        a = pres.quiver.arrow(path.arrows[-1])
+        rest = path_matrix(pres, Path(path.arrows[:-1], path.tail, a.tail))
+        # xs[i][k] is the index of x[a;i+1,k+1]; a term m of rest[k][j] times
+        # that variable raises m's exponent there by one
+        xs = [
+            [ring.index[arrow_var(a.name, i, k)] for k in range(1, v[a.tail] + 1)]
+            for i in range(1, v[a.head] + 1)
+        ]
+        matrix = tuple(
+            tuple(
+                ring.polynomial(
+                    (m[:x] + (m[x] + 1,) + m[x + 1 :], c)
+                    for x, rest_row in zip(row, rest)
+                    for m, c in rest_row[j].terms
+                )
+                for j in range(v[path.tail])
             )
-            for j in range(v[path.tail])
+            for row in xs
         )
-        for row in xs
-    )
+    pres.derived[path] = matrix
+    return matrix
 
 
 def element_matrix(pres: Presentation, g: Source) -> Matrix:

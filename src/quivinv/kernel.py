@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .groebner import ComputeBudget, Ideal, eliminate
+from .groebner import ComputeBudget, GroebnerBasis, Ideal, eliminate
 from .invariants import (
     GeneratorEntry,
     invariant_functions,
@@ -116,12 +116,14 @@ def kernel_generators(
 @dataclass
 class InvariantPresentation:
     """Fresh variables for the chosen generators, the combined defining ideal,
-    and the elimination ideal expressing all relations among the generators."""
+    its basis with the arrow variables eliminated first, and the elimination
+    ideal expressing all relations among the generators."""
 
     combined_ring: PolynomialRing
     fresh_ring: PolynomialRing
     dictionary: tuple[tuple[Variable, GeneratorEntry], ...]
     defining_ideal: Ideal
+    basis: GroebnerBasis
     elimination_ideal: Ideal
 
     def to_jsonable(self) -> dict:
@@ -175,12 +177,14 @@ def present_invariant_ring(
     for g in rep_ideal(pres).generators:
         defining.append(g.to_ring(combined))
     defining_ideal = Ideal(combined, defining)
-    elim = eliminate(defining_ideal, range(arrow_ring.nvars), budget)
+    basis = defining_ideal.groebner_basis(frozenset(range(arrow_ring.nvars)), budget)
+    elim = eliminate(basis)
     return InvariantPresentation(
         combined_ring=combined,
         fresh_ring=elim.ring,
         dictionary=tuple(dictionary),
         defining_ideal=defining_ideal,
+        basis=basis,
         elimination_ideal=elim,
     )
 
@@ -192,17 +196,15 @@ def rewrite_in_generators(
 ) -> Polynomial:
     """Express an arrow-variable polynomial in the chosen generators.
 
-    Reduces modulo the basis :func:`present_invariant_ring` eliminated with,
-    the arrow variables (the combined ring's first ones) in front; succeeds
-    when the normal form involves fresh variables only (the identity then
-    holds modulo the representation ideal), and raises
-    :class:`NotExpressibleError` otherwise.
+    Reduces modulo ``presentation.basis``, the basis
+    :func:`present_invariant_ring` computed with the arrow variables in
+    front, and builds no basis of its own; succeeds when the normal form
+    involves fresh variables only (the identity then holds modulo the
+    representation ideal), and raises :class:`NotExpressibleError` otherwise.
     """
     ip = presentation
     f = f.to_ring(ip.combined_ring)
-    arrows = frozenset(range(ip.combined_ring.nvars - ip.fresh_ring.nvars))
-    gb = ip.defining_ideal.groebner_basis(arrows, budget)
-    nf = gb.normal_form(f, budget)
+    nf = ip.basis.normal_form(f, budget)
     try:
         return nf.to_ring(ip.fresh_ring)
     except RingError:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable
 
 ARROW = "arrow"
@@ -132,7 +133,9 @@ class PolynomialRing:
     def one(self) -> "Polynomial":
         return self.constant(1)
 
-    def constant(self, c) -> "Polynomial":
+    def constant(self, c: int | Fraction) -> "Polynomial":
+        if not isinstance(c, (int, Fraction)):
+            raise RingError(f"constant {c!r} is not an int or Fraction")
         c = Fraction(c)
         if c == 0:
             return self.zero
@@ -260,6 +263,8 @@ class Polynomial:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.ring.constant(other)
+        elif not isinstance(other, Polynomial):
+            return NotImplemented
         self._check(other)
         return self.ring.polynomial(self.terms + other.terms)
 
@@ -269,8 +274,6 @@ class Polynomial:
         return Polynomial(self.ring, tuple((m, -c) for m, c in self.terms))
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.constant(other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -282,13 +285,12 @@ class Polynomial:
             if c == 0:
                 return self.ring.zero
             return Polynomial(self.ring, tuple((m, cc * c) for m, cc in self.terms))
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         self._check(other)
-        acc: dict[tuple[int, ...], Fraction] = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = tuple(a + b for a, b in zip(m1, m2))
-                acc[m] = acc.get(m, Fraction(0)) + c1 * c2
-        return self.ring.polynomial(acc.items())
+        return self.ring.polynomial(
+            (tuple(map(add, m1, m2)), c1 * c2) for m1, c1 in self.terms for m2, c2 in other.terms
+        )
 
     __rmul__ = __mul__
 

@@ -8,7 +8,7 @@ an empty arrow word based at a vertex.  All types are immutable values.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -295,12 +295,15 @@ class Relation:
 
 @dataclass(frozen=True)
 class Presentation:
-    """A quiver with dimension vector, frozen-vertex set K, and relations."""
+    """A quiver with dimension vector, frozen-vertex set K, and relations;
+    ``derived`` holds the ring (key ``"ring"``) and path matrices (keyed by path)
+    that :mod:`quivinv.invariants` builds from it, and is not part of its value."""
 
     quiver: Quiver
     dims: DimensionVector
     frozen_vertices: frozenset[str]
     relations: tuple[Relation, ...] = ()
+    derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         bad = self.frozen_vertices - set(self.quiver.vertices)

@@ -88,7 +88,7 @@ def test_block_order_elimination_agrees_with_lex(gens):
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         return
-    mine = eliminate(Ideal(R, gens), [R.variables[0]])
+    mine = eliminate(Ideal(R, gens).groebner_basis(frozenset({0})))
     lex = sympy.groebner([to_sympy(g) for g in gens], *SYMS, order="lex", field=True)
     free = [from_sympy(e, mine.ring, SYMS[1:]) for e in lex.exprs if SYMS[0] not in e.free_symbols]
     theirs = Ideal(mine.ring, free)

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 from importlib import resources
 
@@ -395,3 +397,14 @@ class TestAgainstMatrixFold:
         ec = path_from_word(pres.quiver, "ec")
         assert _as_lists(path_matrix(pres, ec)) == [[ring.zero] * 2] * 2
         assert trace_poly(pres, ec) == ring.zero
+
+
+def test_a_dropped_presentation_frees_its_ring_and_path_matrices():
+    pres = _at_dims(3, 2)
+    lusztig_generators(pres, 3)
+    assert len(pres.derived) > 1  # the ring and the path matrices
+    # every matrix entry holds the ring, so no matrix outlives a freed ring
+    refs = [weakref.ref(pres), weakref.ref(ring_for(pres))]
+    del pres
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -134,6 +135,20 @@ class TestArithmetic:
         other = PolynomialRing([fresh_var("x", 1, 1)])
         with pytest.raises(RingError):
             RING.var(0) * other.var(0)
+
+    @pytest.mark.parametrize("other", [1.5, "a", None, [1]])
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+    def test_non_number_operand_raises_type_error(self, op, other):
+        x = RING.var(0)
+        with pytest.raises(TypeError):
+            op(x, other)
+        with pytest.raises(TypeError):
+            op(other, x)
+
+    @pytest.mark.parametrize("c", [1.5, "1", None])
+    def test_constant_must_be_int_or_fraction(self, c):
+        with pytest.raises(RingError, match="not an int or Fraction"):
+            RING.constant(c)
 
     def test_terms_sorted_descending_in_ambient_order(self):
         x, y = RING.var(0), RING.var(1)

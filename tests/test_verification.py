@@ -1,6 +1,8 @@
+import gc
 import itertools
 import json
 import random
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +11,7 @@ from quivinv import (
     AlgebraElement,
     BudgetExceededError,
     ComputeBudget,
+    Ideal,
     kernel_generators,
     path_from_word,
     rep_ideal,
@@ -144,9 +147,19 @@ def test_traversal_spends_the_given_budget(a1):
         traversal(ComputeBudget(max_steps=0))
 
 
-def test_no_basis_outlives_a_run(a1):
+def test_no_basis_outlives_a_run(a1, monkeypatch):
+    built = []
+    build = Ideal.groebner_basis
+
+    def recording(self, *args, **kwargs):
+        gb = build(self, *args, **kwargs)
+        built.append(weakref.ref(gb))
+        return gb
+
+    monkeypatch.setattr(Ideal, "groebner_basis", recording)
     run_verification(a1, seed=0)
-    assert rep_ideal(a1)._cache == {}
+    gc.collect()
+    assert built and [ref() for ref in built] == [None] * len(built)
 
 
 outcome_lists = st.lists(st.one_of(st.none(), st.dictionaries(st.text(), st.integers())))
