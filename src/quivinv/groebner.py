@@ -83,6 +83,8 @@ class _Packing:
         self.shift = nvars * self.stride  # the total degree sits above the fields
         self.ones = sum(1 << (i * self.stride) for i in range(nvars))
         self.guard = self.ones << bits
+        self.fields = self.guard - self.ones  # every field's bits, no guard bits
+        self.top = max(self.shift - self.stride, 0)  # where lcm sums the fields
         W = self.limit
         back = [i for i in range(nvars) if i not in order]
         self.weights = [0] * nvars
@@ -103,15 +105,19 @@ class _Packing:
         return tuple((e >> (i * self.stride)) & (self.limit - 1) for i in range(self.nvars))
 
     def key(self, e: int) -> int:
-        return sum(map(mul, self.unpack(e), self.weights))
+        k, e = 0, e & self.fields
+        while e:  # the nonzero fields, top one first
+            i = (e.bit_length() - 1) // self.stride
+            k += self.weights[i] * (e >> i * self.stride)
+            e &= (1 << i * self.stride) - 1
+        return k
 
     def lcm(self, a: int, b: int) -> int:
-        g = self.guard
-        ge = ((a | g) - b) & g  # guard bits of the fields where a >= b
+        ge = ((a | self.guard) - b) & self.guard  # guard bits of the fields where a >= b
         take_a = ge - (ge >> self.bits)
-        fields = (a & take_a) | (b & ~take_a & (g - self.ones))
+        fields = (a & take_a) | (b & ~take_a & self.fields)
         # the fields summed into the top one; the sum is below 2 * limit
-        deg = (fields * self.ones >> max(self.shift - self.stride, 0)) & (2 * self.limit - 1)
+        deg = (fields * self.ones >> self.top) & (2 * self.limit - 1)
         return fields | (deg << self.shift)
 
 
@@ -218,27 +224,30 @@ class _Reducers:
         for r in reducers:
             self.append(r)
 
-    def _zeros(self, guarded: int) -> int:
-        """The guard bits of the fields that are zero in ``guarded ^ guard``."""
-        g = self.packing.guard
-        return g ^ ((guarded - self.packing.ones) & g)
-
     def append(self, r: _Reducer):
         bit = 1 << len(self.reducers)
         self.reducers.append(r)
-        zeros = self._zeros(r.lm | self.packing.guard)
+        g = self.packing.guard
+        zeros = g ^ (((r.lm | g) - self.packing.ones) & g)  # guard bits of the zero fields
         for mask, table in self._tables:
             for pattern in _subsets(zeros & mask):
                 table[pattern] |= bit
+
+    def candidates(self, guarded: int, skip: int = 0) -> int:
+        """The bitset of reducers not in ``skip`` whose lead is zero wherever
+        ``guarded ^ guard`` is: a superset of those whose lead divides it."""
+        g = self.packing.guard
+        zeros = g ^ ((guarded - self.packing.ones) & g)
+        cand = ((1 << len(self.reducers)) - 1) & ~skip
+        for mask, table in self._tables:
+            cand &= table[zeros & mask]
+        return cand
 
     def find(self, m: int, skip: int = 0) -> Optional[_Reducer]:
         """The first reducer not in the bitset ``skip`` whose lead divides m."""
         g = self.packing.guard
         guarded = m | g
-        zeros = self._zeros(guarded)
-        cand = ((1 << len(self.reducers)) - 1) & ~skip
-        for mask, table in self._tables:
-            cand &= table[zeros & mask]
+        cand = self.candidates(guarded, skip)
         reducers = self.reducers
         while cand:
             low = cand & -cand
@@ -299,48 +308,42 @@ def _poly_sort_key(terms: list):
 
 def _buchberger(inputs: list[list], packing: _Packing, budget: ComputeBudget) -> list[list]:
     """Reduced Groebner basis of the given engine polynomials."""
-    g, shift = packing.guard, packing.shift
+    g, shift, lcm = packing.guard, packing.shift, packing.lcm
     reducers = _Reducers(packing)
     basis = reducers.reducers
-    pairs: dict[tuple[int, int], int] = {}  # (i,j) -> E of the lcm
-    heap: list = []  # (sugar, lcm K, i, j); may hold pruned entries
+    heap: list = []  # (sugar, lcm K, i, j, lcm E)
 
     def add_element(terms: list, sugar: Optional[int] = None):
-        # Gebauer-Moeller update.  Group candidate pairs by their lcm: equal
+        # Gebauer-Moeller update.  Group the new pairs by their lcm: equal
         # lcms keep one representative, lcms divisible by a kept smaller one
         # are dropped, and an lcm witnessed by a coprime pair is dropped
-        # entirely.  Old pairs strictly refined by the new lead go too.
+        # entirely.  Old pairs the new lead refines go when selected (B_k).
         h = _reducer_of(terms, shift, sugar)
-        t = len(basis)
-        cand = [packing.lcm(r.lm, h.lm) for r in basis]
+        t, hm = len(basis), h.lm
         groups: dict[int, int] = {}
         coprime_lcms: set[int] = set()
-        for i, L in enumerate(cand):
-            if L >> shift == basis[i].deg + h.deg:
+        for i, r in enumerate(basis):
+            L = lcm(r.lm, hm)
+            if L >> shift == r.deg + h.deg:
                 coprime_lcms.add(L)
             elif L not in groups:
                 groups[L] = i
-        minimal: list[tuple[int, int]] = []
         kept_lcms: list[int] = []
         # E sorts by degree first, so a divisor is met before its multiples
         for L in sorted(set(groups) | coprime_lcms):
             guarded = L | g
-            if any((guarded - Lk) & g == g for Lk in kept_lcms):
-                continue
-            kept_lcms.append(L)
-            if L in coprime_lcms:
-                continue  # Buchberger's first criterion kills the class
-            minimal.append((L, groups[L]))
-        for (i, j), lij in list(pairs.items()):
-            if ((lij | g) - h.lm) & g == g and cand[i] != lij and cand[j] != lij:
-                del pairs[(i, j)]
-        for L, i in minimal:
-            ldeg = L >> shift
-            sug = max(basis[i].sugar + ldeg - basis[i].deg, h.sugar + ldeg - h.deg)
-            if sug >= packing.limit:
-                raise _Overflow
-            pairs[(i, t)] = L
-            heapq.heappush(heap, (sug, packing.key(L), i, t))
+            for Lk in kept_lcms:
+                if (guarded - Lk) & g == g:
+                    break
+            else:
+                kept_lcms.append(L)
+                if L in coprime_lcms:
+                    continue  # Buchberger's first criterion kills the class
+                i = groups[L]
+                sug = max(basis[i].sugar - basis[i].deg, h.sugar - h.deg) + (L >> shift)
+                if sug >= packing.limit:
+                    raise _Overflow
+                heapq.heappush(heap, (sug, packing.key(L), i, t, L))
         reducers.append(h)
 
     for f in sorted(inputs, key=_poly_sort_key, reverse=True):
@@ -348,10 +351,19 @@ def _buchberger(inputs: list[list], packing: _Packing, budget: ComputeBudget) ->
             add_element(f)
 
     while heap:
-        sug, lk, i, j = heapq.heappop(heap)
-        lm = pairs.pop((i, j), None)
-        if lm is None:
-            continue  # pruned by a later update
+        sug, lk, i, j, lm = heapq.heappop(heap)
+        # criterion B_k: drop the pair if a lead added after j divides its
+        # lcm and has a different lcm with both i and j
+        guarded, mi, mj = lm | g, basis[i].lm, basis[j].lm
+        later = reducers.candidates(guarded, (2 << j) - 1)
+        while later:
+            low = later & -later
+            mk = basis[low.bit_length() - 1].lm
+            if (guarded - mk) & g == g and lcm(mi, mk) != lm and lcm(mj, mk) != lm:
+                break
+            later ^= low
+        if later:
+            continue
         budget.spend_pair()
         s = _spoly(basis[i], basis[j], lk, lm)
         if not s:

@@ -1,3 +1,4 @@
+import heapq
 import inspect
 from fractions import Fraction
 from itertools import product
@@ -341,6 +342,77 @@ class ScanReducers(_Reducers):
         return first_divisor(self.reducers, m, self.packing.guard, skip)
 
 
+def engine_run(order, gens):
+    """A basis, two normal forms and the work the engine spent on them."""
+    budget = ComputeBudget(max_steps=200_000)
+    gb = Ideal(R, gens).groebner_basis(order, budget)
+    forms = [gb.normal_form(f) for f in ((X + Y + Z) ** 3, X * Y * Z - 1)]
+    return gb.polys, forms, budget.pairs_used, budget.steps_used
+
+
+def eager_buchberger(inputs, packing, budget):
+    """The engine's pair loop with the Gebauer-Moeller update it replaced,
+    kept as its reference: every addition re-checks every live pair against
+    the new lead (criterion B_k) and deletes it from a dict of live pairs."""
+    g, shift = packing.guard, packing.shift
+    reducers = _Reducers(packing)
+    basis = reducers.reducers
+    pairs = {}  # (i,j) -> E of the lcm
+    heap = []  # (sugar, lcm K, i, j); may hold pruned entries
+
+    def add_element(terms, sugar=None):
+        h = _reducer_of(terms, shift, sugar)
+        t = len(basis)
+        cand = [packing.lcm(r.lm, h.lm) for r in basis]
+        groups = {}
+        coprime_lcms = set()
+        for i, L in enumerate(cand):
+            if L >> shift == basis[i].deg + h.deg:
+                coprime_lcms.add(L)
+            elif L not in groups:
+                groups[L] = i
+        minimal = []
+        kept_lcms = []
+        for L in sorted(set(groups) | coprime_lcms):
+            guarded = L | g
+            if any((guarded - Lk) & g == g for Lk in kept_lcms):
+                continue
+            kept_lcms.append(L)
+            if L in coprime_lcms:
+                continue
+            minimal.append((L, groups[L]))
+        for (i, j), lij in list(pairs.items()):
+            if ((lij | g) - h.lm) & g == g and cand[i] != lij and cand[j] != lij:
+                del pairs[(i, j)]
+        for L, i in minimal:
+            ldeg = L >> shift
+            sug = max(basis[i].sugar + ldeg - basis[i].deg, h.sugar + ldeg - h.deg)
+            if sug >= packing.limit:
+                raise groebner._Overflow
+            pairs[(i, t)] = L
+            heapq.heappush(heap, (sug, packing.key(L), i, t))
+        reducers.append(h)
+
+    for f in sorted(inputs, key=groebner._poly_sort_key, reverse=True):
+        if f:
+            add_element(f)
+
+    while heap:
+        sug, lk, i, j = heapq.heappop(heap)
+        lm = pairs.pop((i, j), None)
+        if lm is None:
+            continue
+        budget.spend_pair()
+        s = groebner._spoly(basis[i], basis[j], lk, lm)
+        if not s:
+            continue
+        h, _, hsug = groebner._normal_form(s, reducers, budget, sug)
+        if h:
+            add_element(groebner._primitive(h), hsug)
+
+    return groebner._interreduce([r.terms for r in basis], packing, budget)
+
+
 class TestReducerIndex:
     """``_Reducers.find`` returns the reducer the linear scan returns."""
 
@@ -362,15 +434,18 @@ class TestReducerIndex:
     @given(fronts(3), st.lists(small_polys, min_size=1, max_size=3))
     @settings(max_examples=25, deadline=None)
     def test_engine_does_the_work_of_the_scan(self, order, gens):
-        def run():
-            budget = ComputeBudget(max_steps=200_000)
-            gb = Ideal(R, gens).groebner_basis(order, budget)
-            forms = [gb.normal_form(f) for f in ((X + Y + Z) ** 3, X * Y * Z - 1)]
-            return gb.polys, forms, budget.pairs_used, budget.steps_used
-
-        got = run()
+        got = engine_run(order, gens)
         with patch.object(groebner, "_Reducers", ScanReducers):
-            assert run() == got
+            assert engine_run(order, gens) == got
+
+    @given(fronts(3), st.lists(small_polys, min_size=1, max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_engine_does_the_work_of_the_eager_update(self, order, gens):
+        # B_k checked when a pair is selected drops the same pairs as B_k
+        # checked against every live pair at every addition
+        got = engine_run(order, gens)
+        with patch.object(groebner, "_buchberger", eager_buchberger):
+            assert engine_run(order, gens) == got
 
     def test_index_after_normal_form_repacks_wider(self):
         gens = [X - Y**3, Y * Z - Z]

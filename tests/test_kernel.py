@@ -5,6 +5,7 @@ import pytest
 
 from quivinv import (
     Arrow,
+    BudgetExceededError,
     ComputeBudget,
     DimensionVector,
     Ideal,
@@ -216,3 +217,16 @@ def test_engine_work_on_the_worked_example_is_pinned(a1_presented, a1_presented_
     # dims (2,2)) does a fixed amount of work, like the dims (2,1) case above
     assert (a1_presented_budget.pairs_used, a1_presented_budget.steps_used) == (4568, 70156)
     assert len(a1_presented.elimination_ideal.generators) == 23
+
+
+def test_engine_work_with_many_queued_pairs_is_pinned():
+    # ec alone at dims (3,2) does not finish under the default budget; after
+    # its first 10,000 steps about 11,800 pairs wait in the queue, so the
+    # pairs the Gebauer-Moeller update lets through are pinned where it has
+    # the most pairs to judge
+    text = resources.files("quivinv").joinpath("data", "a1_preprojective.quiver").read_text("utf-8")
+    pres = parse_presentation(text.replace("0 = 2\n1 = 2\n", "0 = 3\n1 = 2\n"))
+    budget = ComputeBudget(max_steps=10_000)
+    with pytest.raises(BudgetExceededError):
+        present_invariant_ring(pres, 2, select=["ec"], budget=budget)
+    assert (budget.pairs_used, budget.steps_used) == (1754, 10001)
