@@ -3,7 +3,9 @@
 Subcommands: ``generators``, ``kernel``, ``present``, ``verify``, and
 ``example-a1`` (runs the full pipeline on the bundled two-vertex example).
 Output is plain text by default or deterministic JSON with ``--format json``;
-``example-a1`` always prints JSON.
+``example-a1`` always prints JSON.  Library functions return plain data
+(dataclasses, polynomials, paths); this module alone defines the JSON and text
+shapes of what they return.
 Exit codes: 0 success, 1 verification/comparison failure, 2 input error,
 3 resource budget exceeded.
 """
@@ -18,11 +20,11 @@ from typing import Callable, Optional, Sequence
 
 from .groebner import BudgetExceededError, ComputeBudget, Ideal, ideal_equal
 from .invariants import lusztig_generators, rep_ideal
-from .kernel import kernel_generators, present_invariant_ring
+from .kernel import InvariantPresentation, kernel_generators, present_invariant_ring
 from .polyring import RingError
 from .quiver import Presentation, QuiverError, path_from_word
 from .quiverfile import load_presentation, parse_presentation
-from .verification import run_verification
+from .verification import VerificationReport, run_verification
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -60,6 +62,35 @@ def _emit(args: argparse.Namespace, payload: dict, render: Callable[[dict], list
             print(line)
 
 
+def _records(entries) -> list[dict]:
+    """Generator records as JSON objects: their fields by name, polynomials and
+    paths as text."""
+    return [
+        {k: v if isinstance(v, (int, str)) else str(v) for k, v in vars(e).items()}
+        for e in entries
+    ]
+
+
+def _presentation(ip: InvariantPresentation) -> dict:
+    return {
+        "dictionary": [
+            {"fresh": str(var), "generator": e.label, "word": e.word, "kind": e.kind,
+             "i": e.i, "j": e.j}
+            for var, e in ip.dictionary
+        ],
+        "elimination_ideal": [str(p) for p in ip.elimination_ideal.generators],
+    }
+
+
+def _report(report: VerificationReport) -> dict:
+    checks = [
+        {"name": c.name, "trials": c.trials, "pass": c.passed}
+        | ({} if c.witness is None else {"witness": c.witness})
+        for c in report.checks
+    ]
+    return {"seed": report.seed, "bounds": report.bounds, "checks": checks, "pass": report.passed}
+
+
 def _generator_lines(payload: dict) -> list[str]:
     return [f"{g['label']} = {g['polynomial']}" for g in payload["generators"]]
 
@@ -92,7 +123,7 @@ def cmd_generators(args: argparse.Namespace) -> int:
         "K": sorted(pres.frozen_vertices),
         "max_len": args.max_len,
         "count": len(gens),
-        "generators": gens.to_jsonable(),
+        "generators": _records(gens),
     }
     _emit(args, payload, _generator_lines)
     return EXIT_OK
@@ -107,7 +138,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
         "max_u": args.max_u,
         "max_w": args.max_w,
         "count": len(kernel),
-        "generators": [k.to_jsonable() for k in kernel],
+        "generators": _records(kernel),
     }
     _emit(args, payload, _generator_lines)
     return EXIT_OK
@@ -135,7 +166,7 @@ def cmd_present(args: argparse.Namespace) -> int:
         "command": "present",
         "K": sorted(pres.frozen_vertices),
         "max_len": args.max_len,
-        **ip.to_jsonable(),
+        **_presentation(ip),
     }
     equal = None
     if args.compare:
@@ -156,7 +187,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         budget=_budget(args),
         mutate=args.mutate,
     )
-    _emit(args, {"command": "verify", **report.to_jsonable()}, _verify_lines)
+    _emit(args, {"command": "verify", **_report(report)}, _verify_lines)
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
@@ -183,12 +214,12 @@ def cmd_example_a1(args: argparse.Namespace) -> int:
             "relations": {r.name: str(r.element) for r in pres.relations},
         },
         "representation_ideal": [str(g) for g in ideal.generators],
-        "generators": gens.to_jsonable(),
-        "kernel_unfrozen": [k.to_jsonable() for k in kernel_free],
-        "kernel": [k.to_jsonable() for k in kernel],
-        "invariant_presentation": ip.to_jsonable(),
+        "generators": _records(gens),
+        "kernel_unfrozen": _records(kernel_free),
+        "kernel": _records(kernel),
+        "invariant_presentation": _presentation(ip),
         "compare_with_reference": compare_equal,
-        "verification": report.to_jsonable(),
+        "verification": _report(report),
     }
     print(json.dumps(payload, indent=2, sort_keys=True))
     if not compare_equal:

@@ -207,12 +207,6 @@ class CheckResult:
                 return cls(name, done, False, witness)
         return cls(name, done, True)
 
-    def to_jsonable(self) -> dict:
-        out = {"name": self.name, "trials": self.trials, "pass": self.passed}
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
-
 
 def _invariance_outcomes(entries, pres: Presentation, seed: int):
     rng = random.Random(seed)

@@ -134,16 +134,6 @@ class GeneratorEntry:
     j: int
     polynomial: Polynomial
 
-    def to_jsonable(self) -> dict:
-        return {
-            "label": self.label,
-            "kind": self.kind,
-            "word": self.word,
-            "i": self.i,
-            "j": self.j,
-            "polynomial": str(self.polynomial),
-        }
-
 
 @dataclass(frozen=True)
 class GeneratorSet:
@@ -154,9 +144,6 @@ class GeneratorSet:
 
     def __iter__(self):
         return iter(self.entries)
-
-    def to_jsonable(self) -> list[dict]:
-        return [e.to_jsonable() for e in self.entries]
 
 
 def _apply_selection(

@@ -47,18 +47,6 @@ class KernelGenerator:
     j: int
     polynomial: Polynomial
 
-    def to_jsonable(self) -> dict:
-        return {
-            "label": self.label,
-            "kind": self.kind,
-            "u": self.u.word,
-            "relation": self.relation,
-            "w": self.w.word,
-            "i": self.i,
-            "j": self.j,
-            "polynomial": str(self.polynomial),
-        }
-
 
 def _sandwich_word(u: Path, relation: str, w: Path) -> str:
     parts = []
@@ -125,22 +113,6 @@ class InvariantPresentation:
     defining_ideal: Ideal
     basis: GroebnerBasis
     elimination_ideal: Ideal
-
-    def to_jsonable(self) -> dict:
-        return {
-            "dictionary": [
-                {
-                    "fresh": str(var),
-                    "generator": entry.label,
-                    "word": entry.word,
-                    "kind": entry.kind,
-                    "i": entry.i,
-                    "j": entry.j,
-                }
-                for var, entry in self.dictionary
-            ],
-            "elimination_ideal": [str(p) for p in self.elimination_ideal.generators],
-        }
 
 
 def _fresh_variable(entry: GeneratorEntry) -> Variable:

@@ -149,11 +149,13 @@ class PolynomialRing:
         return Polynomial(self, ((unit, Fraction(1)),))
 
     def polynomial(self, terms: Iterable[tuple[tuple[int, ...], Fraction]]) -> "Polynomial":
-        """Normalize arbitrary (exponent tuple, coefficient) pairs."""
+        """Normalize (exponent tuple, coefficient) pairs; coefficients are exact."""
         acc: dict[tuple[int, ...], Fraction] = {}
         for m, c in terms:
             if len(m) != self.nvars:
                 raise RingError("monomial has wrong number of variables")
+            if not isinstance(c, (int, Fraction)):
+                raise RingError(f"coefficient {c!r} is not an int or Fraction")
             acc[m] = acc.get(m, Fraction(0)) + Fraction(c)
         kept = [(m, c) for m, c in acc.items() if c != 0]
         kept.sort(key=lambda mc: _degrevlex_key(mc[0]), reverse=True)

@@ -269,14 +269,6 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def to_jsonable(self) -> dict:
-        return {
-            "seed": self.seed,
-            "bounds": self.bounds,
-            "checks": [c.to_jsonable() for c in self.checks],
-            "pass": self.passed,
-        }
-
 
 def run_verification(
     pres: Presentation,

@@ -1,10 +1,11 @@
 """The benchmark's jobs print exactly what ``perfbench/digests.json`` records.
 
-Each of the six (1,1) jobs of ``perfbench/run.py``'s ``SMOKE``, and one seed of
-the ``verify-a1-32`` workload, runs through ``cli.main`` with the harness's own
+Each of the six (1,1) jobs of ``perfbench/run.py``'s ``SMOKE``, the
+``present-a1-22`` and ``kernel-a1-32`` workloads, and one seed of the
+``verify-a1-32`` workload, runs through ``cli.main`` with the harness's own
 argv, and the sha256 of its stdout is compared with the recorded digest. A
-change to a random stream or to the output format then fails here, not only
-in the benchmark. Files under ``perfbench/`` are only read; the quiver is
+change to a random stream or to the output format (the 1.5 MB kernel JSON, the
+present dictionary) then fails here, not only in the benchmark. Files under ``perfbench/`` are only read; the quiver is
 written to a temporary directory.
 """
 
@@ -37,7 +38,11 @@ JOBS = {
     for seed in (range(RUN.VERIFY_SEEDS) if w.command == "verify" else [0])
 }
 VERIFY = RUN.WORKLOADS["verify-a1-32"]
-PINNED = {**JOBS, VERIFY.digest_key(1): (VERIFY, 1)}  # and one job at dims (3,2)
+PINNED = {
+    **JOBS,
+    **{w.digest_key(0): (w, 0) for w in RUN.WORKLOADS.values() if w.command != "verify"},
+    VERIFY.digest_key(1): (VERIFY, 1),  # one verify job at dims (3,2)
+}
 
 
 def test_every_smoke_job_has_a_digest():

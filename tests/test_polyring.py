@@ -1,4 +1,5 @@
 import operator
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -149,6 +150,11 @@ class TestArithmetic:
     def test_constant_must_be_int_or_fraction(self, c):
         with pytest.raises(RingError, match="not an int or Fraction"):
             RING.constant(c)
+
+    @pytest.mark.parametrize("c", [0.5, 0.1, "1/3", Decimal("0.5"), None])
+    def test_polynomial_coefficient_must_be_int_or_fraction(self, c):
+        with pytest.raises(RingError, match="not an int or Fraction"):
+            RING.polynomial([((1, 0, 0, 0), c)])
 
     def test_terms_sorted_descending_in_ambient_order(self):
         x, y = RING.var(0), RING.var(1)

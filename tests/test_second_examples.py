@@ -123,7 +123,7 @@ class TestLoopVerificationSuite:
 
         pres = parse_presentation(LOOP_WITH_LEGS)
         report = run_verification(pres, seed=11, max_len=3)
-        assert report.passed, [c.to_jsonable() for c in report.checks if not c.passed]
+        assert report.passed, [c for c in report.checks if not c.passed]
         by_name = {c.name: c for c in report.checks}
         assert by_name["lusztig_invariance"].trials == 20
         assert by_name["kernel_membership"].trials == 0  # no relations

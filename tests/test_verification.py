@@ -1,6 +1,5 @@
 import gc
 import itertools
-import json
 import random
 import weakref
 
@@ -38,14 +37,7 @@ def test_full_suite_passes_on_a1(a1):
         "framed_correspondence",
         "path_count_oracle",
     ]
-    assert report.passed, [c.to_jsonable() for c in report.checks if not c.passed]
-
-
-def test_report_serializes_and_echoes_seed(a1):
-    report = run_verification(a1, seed=1234)
-    payload = report.to_jsonable()
-    assert payload["seed"] == 1234
-    json.dumps(payload)  # must be JSON-serializable as-is
+    assert report.passed, [c for c in report.checks if not c.passed]
 
 
 def test_mutated_relation_fails_membership_with_witness(a1):
@@ -59,9 +51,8 @@ def test_mutated_relation_fails_membership_with_witness(a1):
 
 
 def test_same_seed_same_report(a1):
-    first = run_verification(a1, seed=7).to_jsonable()
-    second = run_verification(a1, seed=7).to_jsonable()
-    assert first == second
+    # dataclass equality: seed, bounds, and every check with its witness
+    assert run_verification(a1, seed=7) == run_verification(a1, seed=7)
 
 
 def test_arrowless_quiver_passes_vacuously():
