@@ -23,7 +23,7 @@ import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Optional
 
@@ -130,9 +130,7 @@ class _Packing:
 
 def _to_engine(poly: Polynomial, packing: _Packing) -> tuple[list, int]:
     """Engine form of denom * poly together with the denominator used."""
-    denom_lcm = 1
-    for _, c in poly.terms:
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
+    denom_lcm = lcm(*(c.denominator for _, c in poly.terms))
     terms = [(*packing.pack(m), int(c * denom_lcm)) for m, c in poly.terms]
     terms.sort(reverse=True)
     return terms, denom_lcm
@@ -142,11 +140,7 @@ def _primitive(terms: list) -> list:
     """Divide out the content and make the leading coefficient positive."""
     if not terms:
         return terms
-    g = 0
-    for _, _, c in terms:
-        g = gcd(g, c)
-        if g == 1:
-            break
+    g = gcd(*(c for _, _, c in terms))
     if terms[0][2] < 0:
         g = -g
     if g == 1:
@@ -493,9 +487,8 @@ def eliminate(basis: GroebnerBasis) -> Ideal:
     """
     ring, front = basis.ring, basis.order
     subring = PolynomialRing([v for i, v in enumerate(ring.variables) if i not in front])
-    return Ideal(
-        subring, [p.to_ring(subring) for p in basis.polys if not p.variables_used() & front]
-    )
+    kept = [p for p in basis.polys if not any(m[i] for m, _ in p.terms for i in front)]
+    return Ideal(subring, [p.to_ring(subring) for p in kept])
 
 
 def ideal_equal(left: Ideal, right: Ideal, budget: Optional[ComputeBudget] = None) -> bool:

@@ -88,6 +88,26 @@ def signed_products(text: str, factor: re.Pattern) -> list[tuple[int, list[re.Ma
         terms.append((-1 if signs.group().count("-") % 2 else 1, factors))
 
 
+def signed_sum(terms: Iterable[tuple[str, Fraction]]) -> str:
+    """``(atom, coefficient)`` pairs as a signed sum, ``0`` if none; an empty atom
+    stands for 1, and a coefficient is written unless its magnitude is 1."""
+    bits = []
+    for atom, c in terms:
+        mag = abs(c)
+        if not atom:
+            body = str(mag)
+        elif mag == 1:
+            body = atom
+        else:
+            body = f"{mag}*{atom}"
+        if bits:
+            body = f"+ {body}" if c > 0 else f"- {body}"
+        elif c < 0:
+            body = f"-{body}"
+        bits.append(body)
+    return " ".join(bits) if bits else "0"
+
+
 def exact_number(text: str) -> Fraction:
     """The rational ``p`` or ``p/q`` written in ``text``.  Raises ValueError on
     a zero denominator and on a numeral longer than Python converts to int."""
@@ -164,8 +184,6 @@ class PolynomialRing:
     # -- printing and parsing ----------------------------------------------
 
     def format_monomial(self, m: tuple[int, ...]) -> str:
-        if not any(m):
-            return "1"
         bits = []
         for i, e in enumerate(m):
             if e == 1:
@@ -226,14 +244,6 @@ class Polynomial:
             return -1
         return max(sum(m) for m, _ in self.terms)
 
-    def variables_used(self) -> set[int]:
-        used: set[int] = set()
-        for m, _ in self.terms:
-            for i, e in enumerate(m):
-                if e:
-                    used.add(i)
-        return used
-
     def to_ring(self, target: PolynomialRing) -> "Polynomial":
         """The same polynomial in another ring, matching variables by identity.
 
@@ -244,14 +254,13 @@ class Polynomial:
             return self
         source = self.ring.variables
         where = [target.index.get(v) for v in source]
-        for i in self.variables_used():
-            if where[i] is None:
-                raise RingError(f"variable {source[i]} not in target ring")
         terms = []
         for m, c in self.terms:
             exps = [0] * target.nvars
             for i, e in enumerate(m):
                 if e:
+                    if where[i] is None:
+                        raise RingError(f"variable {source[i]} not in target ring")
                     exps[where[i]] = e
             terms.append((tuple(exps), c))
         return target.polynomial(terms)
@@ -319,22 +328,7 @@ class Polynomial:
     # -- printing -------------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        bits = []
-        for k, (m, c) in enumerate(self.terms):
-            mag = abs(c)
-            if not any(m):
-                body = str(mag)
-            elif mag == 1:
-                body = self.ring.format_monomial(m)
-            else:
-                body = f"{mag}*{self.ring.format_monomial(m)}"
-            if k == 0:
-                bits.append(body if c > 0 else f"-{body}")
-            else:
-                bits.append(f"{'+' if c > 0 else '-'} {body}")
-        return " ".join(bits)
+        return signed_sum((self.ring.format_monomial(m), c) for m, c in self.terms)
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"

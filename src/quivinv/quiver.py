@@ -13,6 +13,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
+from .polyring import signed_sum
+
 
 class QuiverError(ValueError):
     """Structurally invalid quiver data (bad endpoints, duplicate ids, ...)."""
@@ -245,17 +247,7 @@ class AlgebraElement:
         return not self.terms
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        bits = []
-        for k, (p, c) in enumerate(self.terms):
-            mag = abs(c)
-            body = p.word if mag == 1 else f"{mag}*{p.word}"
-            if k == 0:
-                bits.append(body if c > 0 else f"-{body}")
-            else:
-                bits.append(f"{'+' if c > 0 else '-'} {body}")
-        return " ".join(bits)
+        return signed_sum((p.word, c) for p, c in self.terms)
 
 
 def _path_sort_key(quiver: Quiver, p: Path):

@@ -19,6 +19,8 @@ from .evaluation import (
     check_invariance,
     eval_poly,
     framed_trace,
+    identity_matrix,
+    mat_mul,
     mat_trace,
     path_product,
     random_rep,
@@ -245,12 +247,9 @@ def _path_count_oracle(rng: random.Random, max_len: int = 5):
             for p in enumerate_paths(q, {s}, q.vertices, max_len):
                 key = (s, p.head, len(p))
                 counts[key] = counts.get(key, 0) + 1
-        power = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        power = identity_matrix(n)
         for length in range(1, max_len + 1):
-            power = [
-                [sum(adj[i][k] * power[k][j] for k in range(n)) for j in range(n)]
-                for i in range(n)
-            ]
+            power = mat_mul(adj, power)
             for s in q.vertices:
                 for t in q.vertices:
                     found = counts.get((s, t, length), 0)

@@ -69,6 +69,13 @@ class TestGenerators:
         assert code == 2
         assert "error:" in err
 
+    def test_non_utf8_file_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.quiver"
+        path.write_bytes(KRONECKER.encode("utf-8") + b"# caf\xe9\n")
+        code, out, err = run(capsys, "generators", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
     def test_unknown_selection_is_input_error(self, capsys, a1_file):
         code, _, err = run(capsys, "generators", str(a1_file), "--select", "zz")
         assert code == 2
@@ -156,6 +163,13 @@ class TestPresent:
         code, _, err = run(capsys, "present", kronecker_file, "--max-len", "1", "--compare", str(ref))
         assert code == 2
         assert "zero denominator" in err
+
+    def test_non_utf8_compare_file_is_input_error(self, capsys, kronecker_file, tmp_path):
+        ref = tmp_path / "ref.txt"
+        ref.write_bytes(b"c[1,1] - d[1,1]  # \xff\n")
+        code, out, err = run(capsys, "present", kronecker_file, "--max-len", "1", "--compare", str(ref))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
 
     def test_missing_compare_file_fails_before_the_elimination(self, capsys, a1_file, tmp_path, monkeypatch):
         def never(*args, **kwargs):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quivinv import QuiverFileError, RingError, parse_presentation
-from quivinv.quiver import ConnectivityWarning
-from quivinv.quiverfile import load_presentation
+from quivinv.quiver import Arrow, ConnectivityWarning, Quiver, algebra_element, enumerate_paths
+from quivinv.quiverfile import _parse_relation_element, load_presentation
 
 from conftest import A1_TEXT, mutate
 
@@ -177,3 +177,28 @@ class TestFuzz:
                 assert 0 <= exc.line <= len(text.splitlines()), str(exc)
             except RingError:
                 pass
+
+
+# Arrow names of two letters: one-letter names print as a bare concatenation
+# (``fc``), which the file reader does not accept.
+LOOPED = Quiver(("0", "1"), (Arrow("aa", "0", "0"), Arrow("bb", "0", "1"), Arrow("cc", "1", "0")))
+nonzero_rationals = st.fractions(max_denominator=12).filter(lambda c: c != 0)
+
+
+@st.composite
+def looped_elements(draw):
+    tail, head = draw(st.sampled_from([("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")]))
+    paths = enumerate_paths(LOOPED, {tail}, {head}, 3, include_trivial=True)
+    chosen = draw(st.lists(st.sampled_from(paths), min_size=1, max_size=5, unique=True))
+    return algebra_element(LOOPED, head, tail, [(p, draw(nonzero_rationals)) for p in chosen])
+
+
+class TestPrintedRelationsReadBack:
+    @given(looped_elements())
+    @settings(max_examples=200, deadline=None)
+    def test_printed_element_parses_to_itself(self, element):
+        assert _parse_relation_element(LOOPED, str(element), 1) == element
+
+    def test_rational_and_trivial_terms(self):
+        element = _parse_relation_element(LOOPED, "2*triv(0) - 1/3*aa*aa", 1)
+        assert str(element) == "2*triv(0) - 1/3*aa*aa"
