@@ -23,7 +23,7 @@ from .invariants import lusztig_generators, rep_ideal
 from .kernel import InvariantPresentation, kernel_generators, present_invariant_ring
 from .polyring import RingError
 from .quiver import Presentation, QuiverError, path_from_word
-from .quiverfile import load_presentation, parse_presentation
+from .quiverfile import load_presentation, parse_presentation, read_text
 from .verification import VerificationReport, run_verification
 
 EXIT_OK = 0
@@ -159,8 +159,7 @@ def cmd_present(args: argparse.Namespace) -> int:
     budget = _budget(args)
     compare_text = None
     if args.compare:  # read before the elimination, so a bad path fails fast
-        with open(args.compare, "r", encoding="utf-8") as fh:
-            compare_text = fh.read()
+        compare_text = read_text(args.compare)
     ip = present_invariant_ring(pres, args.max_len, _selection(args, pres), budget)
     payload = {
         "command": "present",
@@ -288,7 +287,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (QuiverError, RingError, OSError, UnicodeDecodeError) as exc:
+    except (QuiverError, RingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -1,9 +1,9 @@
 """Exact evaluation oracle: representation points, group action, invariance.
 
-Everything is computed exactly: points and group elements have integer
-entries, only the group inverses are rational, and :func:`mat_inverse` holds
-the only division, over :class:`Fraction`.  Equality checks are therefore
-literal polynomial identities at points; there is no tolerance policy.
+Everything is computed exactly, never in floats: only the group inverses, and
+so the moved points, are rational, and only :func:`mat_inverse` and the last
+step of :func:`eval_poly` divide.  Equality checks are therefore literal
+polynomial identities at points; there is no tolerance policy.
 Randomness is always seeded and the seeds are recorded in reports.
 """
 
@@ -13,6 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 from typing import Iterable, Optional, Sequence, Union
 
 from .polyring import ARROW, Polynomial, RingError
@@ -116,32 +117,32 @@ def act(pres: Presentation, g: GroupElement, point: RepPoint) -> RepPoint:
 
 
 def eval_poly(f: Polynomial, pres: Presentation, point: RepPoint) -> Number:
-    """Substitute matrix entries for arrow variables, exactly: each monomial
-    is multiplied out in the point's entries before its coefficient applies."""
-    ring = f.ring
-    cache: dict[int, Number] = {}
-
-    def value(i: int) -> Number:
-        got = cache.get(i)
-        if got is None:
-            var = ring.variables[i]
+    """Substitute matrix entries for arrow variables, exactly: over a common
+    denominator D of the used entries, a monomial of degree d is an int over
+    D^d, summed in ints per (coefficient denominator, d) and divided once."""
+    if not f.terms:
+        return 0
+    values = []  # an int or a Fraction per variable; 0 where no term uses it
+    for var, used in zip(f.ring.variables, map(any, zip(*(m for m, _ in f.terms)))):
+        x = 0
+        if used:
             if var.kind != ARROW:
                 raise RingError(f"unknown variable {var} at evaluation")
             try:
-                got = point[var.name][var.row - 1][var.col - 1]
+                x = point[var.name][var.row - 1][var.col - 1]
             except (KeyError, IndexError):
                 raise RingError(f"unknown variable {var} at evaluation") from None
-            cache[i] = got
-        return got
-
-    acc = 0
+        values.append(x)
+    D = lcm(*(x.denominator for x in values))
+    nums = [x.numerator * (D // x.denominator) for x in values]
+    sums: dict[tuple[int, int], int] = {}
     for m, c in f.terms:
-        term = 1
-        for i, e in enumerate(m):
-            if e:
-                term *= value(i) ** e
-        acc += c * term
-    return acc
+        key = (c.denominator, sum(m))
+        sums[key] = sums.get(key, 0) + c.numerator * prod(map(pow, nums, m))
+    den = lcm(*(c for c, _ in sums))
+    top = max(d for _, d in sums)
+    num = sum(s * (den // c) * D ** (top - d) for (c, d), s in sums.items())
+    return Fraction(num, den * D**top)
 
 
 def _product(matrices: RepPoint, path: Path, cols: int) -> Matrix:

@@ -131,7 +131,7 @@ class _Packing:
 def _to_engine(poly: Polynomial, packing: _Packing) -> tuple[list, int]:
     """Engine form of denom * poly together with the denominator used."""
     denom_lcm = lcm(*(c.denominator for _, c in poly.terms))
-    terms = [(*packing.pack(m), int(c * denom_lcm)) for m, c in poly.terms]
+    terms = [(*packing.pack(m), c.numerator * (denom_lcm // c.denominator)) for m, c in poly.terms]
     terms.sort(reverse=True)
     return terms, denom_lcm
 

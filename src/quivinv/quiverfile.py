@@ -216,6 +216,16 @@ def parse_presentation(text: str) -> Presentation:
         raise QuiverFileError(str(exc), 0) from None
 
 
-def load_presentation(path) -> Presentation:
+def read_text(path) -> str:
+    """The text of a UTF-8 file; any other bytes raise a QuiverError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_presentation(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            byte, at = exc.object[exc.start], exc.start
+            message = f"{path}: not UTF-8 text (byte {byte:#04x} at position {at})"
+            raise QuiverError(message) from None
+
+
+def load_presentation(path) -> Presentation:
+    return parse_presentation(read_text(path))

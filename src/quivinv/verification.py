@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from operator import add
 from typing import Optional
 
 from .evaluation import (
@@ -74,7 +75,8 @@ def _path_pool(pres: Presentation, max_len: int = 4):
 
 def _product_law(pres: Presentation, rng: random.Random, trials: int):
     """Contraction of a composite equals the matrix-product sum of contractions;
-    a draw with no continuation is not a trial, and at most ``4 * trials`` are made."""
+    a draw with no continuation is not a trial, and at most ``4 * trials`` are made.
+    The right side is summed in a plain {exponents: coefficient} dict, not by ring.polynomial."""
     v = pres.dims
     pool = _path_pool(pres, 3)
     for _ in range(4 * trials if pool else 0):
@@ -86,15 +88,15 @@ def _product_law(pres: Presentation, rng: random.Random, trials: int):
         qp = compose(q, p)
         for i in range(1, v[qp.head] + 1):
             for j in range(1, v[qp.tail] + 1):
-                lhs = contraction_poly(pres, qp, i, j)
-                rhs = ring_for(pres).polynomial(
-                    t
-                    for k in range(1, v[p.head] + 1)
-                    for t in (
-                        contraction_poly(pres, q, i, k) * contraction_poly(pres, p, k, j)
-                    ).terms
-                )
-                if lhs != rhs:
+                rhs = {}
+                for k in range(1, v[p.head] + 1):
+                    right = contraction_poly(pres, p, k, j).terms
+                    for m1, c1 in contraction_poly(pres, q, i, k).terms:
+                        for m2, c2 in right:
+                            m = tuple(map(add, m1, m2))
+                            rhs[m] = rhs.get(m, 0) + c1 * c2
+                rhs = {m: c for m, c in rhs.items() if c}
+                if rhs != dict(contraction_poly(pres, qp, i, j).terms):
                     yield {"q": q.word, "p": p.word, "i": i, "j": j}
         yield None
 

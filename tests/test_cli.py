@@ -71,10 +71,11 @@ class TestGenerators:
 
     def test_non_utf8_file_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "latin1.quiver"
-        path.write_bytes(KRONECKER.encode("utf-8") + b"# caf\xe9\n")
+        text = KRONECKER.encode("utf-8") + b"# caf\xe9\n"
+        path.write_bytes(text)
         code, out, err = run(capsys, "generators", str(path))
         assert (code, out) == (2, "")
-        assert err.startswith("error:")
+        assert err == f"error: {path}: not UTF-8 text (byte 0xe9 at position {len(text) - 2})\n"
 
     def test_unknown_selection_is_input_error(self, capsys, a1_file):
         code, _, err = run(capsys, "generators", str(a1_file), "--select", "zz")
@@ -169,7 +170,7 @@ class TestPresent:
         ref.write_bytes(b"c[1,1] - d[1,1]  # \xff\n")
         code, out, err = run(capsys, "present", kronecker_file, "--max-len", "1", "--compare", str(ref))
         assert (code, out) == (2, "")
-        assert err.startswith("error:")
+        assert err == f"error: {ref}: not UTF-8 text (byte 0xff at position 19)\n"
 
     def test_missing_compare_file_fails_before_the_elimination(self, capsys, a1_file, tmp_path, monkeypatch):
         def never(*args, **kwargs):

@@ -2,9 +2,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from quivinv import (
+    PolynomialRing,
     RingError,
     act,
     check_invariance,
@@ -162,8 +163,6 @@ class TestEval:
         assert eval_poly(trace_poly(a1, trivial_path("1")), a1, b) == 2
 
     def test_unknown_variable_rejected(self, a1):
-        from quivinv import PolynomialRing
-
         ring = PolynomialRing([fresh_var("t", 1, 1)])
         with pytest.raises(RingError, match="unknown variable"):
             eval_poly(ring.var(0), a1, random_rep(a1, 0))
@@ -189,6 +188,18 @@ class TestInvariance:
         assert (result.passed, result.trials) == (False, 1)
         assert result.witness["generator"] == "c[1,1]"
         assert result.witness["polynomial"] == "x[c;1,1]"
+
+    def test_rational_witnesses_are_exact(self, a1):
+        # arrow e leaves the frozen vertex, so its moved entries have denominator det g
+        f = ring_for(a1).parse("1/2*x[e;1,1]")
+        result = check_invariance([("half", f)], a1, 20, seed=0)
+        assert (result.passed, result.trials) == (False, 1)
+        w = result.witness
+        point = random_rep(a1, w["rep_seed"])
+        moved = act(a1, random_group(a1, w["group_seed"]), point)
+        assert Fraction(w["original"]) == Fraction(point["e"][0][0], 2)
+        assert Fraction(w["moved"]) == moved["e"][0][0] / 2
+        assert Fraction(w["moved"]).denominator > 2
 
     def test_trials_are_shared_by_all_entries(self, a1, monkeypatch):
         # one action per trial, and each entry evaluated at both points
@@ -240,7 +251,7 @@ small_matrices = st.integers(1, 3).flatmap(
 
 
 class TestNoFloats:
-    """Only mat_inverse divides, over Fraction, so no value is ever a float."""
+    """Only mat_inverse and eval_poly's last step divide, so no value is ever a float."""
 
     @given(small_matrices)
     def test_mat_inverse(self, rows):
@@ -269,6 +280,57 @@ class TestNoFloats:
         for f in polys:
             assert exact(eval_poly(f, pres, point))
             assert exact(eval_poly(f, pres, moved))
+
+
+def reference_eval(f, point):
+    """Sum of c * prod x^e over Fraction, one variable at a time."""
+    acc = 0
+    for m, c in f.terms:
+        term = Fraction(1)
+        for var, e in zip(f.ring.variables, m):
+            if e:
+                term *= Fraction(point[var.name][var.row - 1][var.col - 1]) ** e
+        acc += c * term
+    return acc
+
+
+def with_fresh(pres):
+    """The presentation's ring with one fresh variable appended."""
+    return PolynomialRing(ring_for(pres).variables + (fresh_var("t", 1, 1),))
+
+
+non_integral = st.fractions(max_denominator=9).filter(lambda c: c.denominator > 1)
+
+
+class TestIntegerEvaluation:
+    """eval_poly against the plain Fraction loop, at points with rational entries."""
+
+    @given(
+        st.sampled_from([("1",), ("0", "1")]),
+        st.integers(0, 2**31),
+        st.integers(0, 2**31),
+        st.lists(
+            st.tuples(st.lists(st.integers(0, 3), min_size=16, max_size=16), non_integral),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_matches_the_fraction_loop_at_moved_points(self, a1, frozen, rep_seed, grp_seed, terms):
+        pres = a1.with_frozen(frozen)
+        ring = with_fresh(pres)  # the fresh variable is in the ring but unused
+        f = ring.polynomial((tuple(m) + (0,), c) for m, c in terms)
+        point = random_rep(pres, rep_seed)
+        moved = act(pres, random_group(pres, grp_seed), point)
+        assume(any(type(x) is Fraction and x.denominator > 1 for row in moved["e"] for x in row))
+        for at in (point, moved):
+            assert eval_poly(f, pres, at) == reference_eval(f, at)
+
+    def test_used_fresh_variable_raises(self, a1):
+        ring = with_fresh(a1)
+        point = act(a1, random_group(a1, 3), random_rep(a1, 3))
+        f = ring.parse("1/2*x[e;1,1]*t[1,1] + 1/3*x[c;1,1]")
+        with pytest.raises(RingError, match="unknown variable t"):
+            eval_poly(f, a1, point)
 
 
 class TestFramedEvaluation:

@@ -1,12 +1,13 @@
 """The benchmark's jobs print exactly what ``perfbench/digests.json`` records.
 
 Each of the six (1,1) jobs of ``perfbench/run.py``'s ``SMOKE``, the
-``present-a1-22`` and ``kernel-a1-32`` workloads, and one seed of the
-``verify-a1-32`` workload, runs through ``cli.main`` with the harness's own
-argv, and the sha256 of its stdout is compared with the recorded digest. A
-change to a random stream or to the output format (the 1.5 MB kernel JSON, the
-present dictionary) then fails here, not only in the benchmark. Files under ``perfbench/`` are only read; the quiver is
-written to a temporary directory.
+``present-a1-22`` and ``kernel-a1-32`` workloads, and the four seeds of the
+``verify-a1-32`` workload that a benchmark run cycles through, runs through
+``cli.main`` with the harness's own argv, and the sha256 of its stdout is
+compared with the recorded digest. A change to a random stream or to the
+output format (the 1.5 MB kernel JSON, the present dictionary) then fails
+here, not only in the benchmark. Files under ``perfbench/`` are only read;
+the quiver is written to a temporary directory.
 """
 
 import hashlib
@@ -32,17 +33,17 @@ def _load_run():
 
 RUN = _load_run()
 DIGESTS = json.loads((PERFBENCH / "digests.json").read_text("utf-8"))
-JOBS = {
-    w.digest_key(seed): (w, seed)
-    for w in RUN.SMOKE.values()
-    for seed in (range(RUN.VERIFY_SEEDS) if w.command == "verify" else [0])
-}
-VERIFY = RUN.WORKLOADS["verify-a1-32"]
-PINNED = {
-    **JOBS,
-    **{w.digest_key(0): (w, 0) for w in RUN.WORKLOADS.values() if w.command != "verify"},
-    VERIFY.digest_key(1): (VERIFY, 1),  # one verify job at dims (3,2)
-}
+def jobs(workloads):
+    """Each job a benchmark run of these workloads can make, by digest key."""
+    return {
+        w.digest_key(seed): (w, seed)
+        for w in workloads
+        for seed in (range(RUN.VERIFY_SEEDS) if w.command == "verify" else [0])
+    }
+
+
+JOBS = jobs(RUN.SMOKE.values())
+PINNED = {**JOBS, **jobs(RUN.WORKLOADS.values())}
 
 
 def test_every_smoke_job_has_a_digest():

@@ -87,6 +87,29 @@ def test_failed_checks_report_the_trials_done(a1, monkeypatch):
     assert (lift.passed, lift.trials) == (False, 1)
 
 
+def test_product_law_compares_coefficients_not_only_monomials(a1, monkeypatch):
+    # each composite's entries keep their monomials, but their first coefficient doubles
+    composites = set()
+    real_compose, real_contraction = verification.compose, verification.contraction_poly
+
+    def compose(q, p):
+        qp = real_compose(q, p)
+        composites.add(qp)
+        return qp
+
+    def doubled(pres, path, i, j):
+        f = real_contraction(pres, path, i, j)
+        if path not in composites or f.is_zero:
+            return f
+        (m, c), *rest = f.terms
+        return f.ring.polynomial([(m, 2 * c), *rest])
+
+    monkeypatch.setattr(verification, "compose", compose)
+    monkeypatch.setattr(verification, "contraction_poly", doubled)
+    product = CheckResult.of("product_law", verification._product_law(a1, random.Random(0), 50), 50)
+    assert (product.passed, product.trials) == (False, 1)
+
+
 def test_more_failed_checks_report_the_trials_done(a1, monkeypatch):
     # one pooled path, through every arrow; traces differ between rotations,
     # evaluation never matches, and every contraction is 1, which lies in no
