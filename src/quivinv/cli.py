@@ -22,7 +22,7 @@ from .groebner import BudgetExceededError, ComputeBudget, Ideal, ideal_equal
 from .invariants import lusztig_generators, rep_ideal
 from .kernel import InvariantPresentation, kernel_generators, present_invariant_ring
 from .polyring import RingError
-from .quiver import Presentation, QuiverError, path_from_word
+from .quiver import Presentation, QuiverError
 from .quiverfile import load_presentation, parse_presentation, read_text
 from .verification import VerificationReport, run_verification
 
@@ -43,10 +43,8 @@ def _load(args: argparse.Namespace) -> Presentation:
     return pres
 
 
-def _selection(args: argparse.Namespace, pres: Presentation):
-    if args.select is None:
-        return None
-    return [path_from_word(pres.quiver, w) for w in args.select.split(",") if w]
+def _selection(args: argparse.Namespace) -> Optional[list[str]]:
+    return None if args.select is None else [w for w in args.select.split(",") if w]
 
 
 def _data_text(name: str) -> str:
@@ -117,7 +115,7 @@ def _verify_lines(payload: dict) -> list[str]:
 
 def cmd_generators(args: argparse.Namespace) -> int:
     pres = _load(args)
-    gens = lusztig_generators(pres, args.max_len, _selection(args, pres))
+    gens = lusztig_generators(pres, args.max_len, _selection(args))
     payload = {
         "command": "generators",
         "K": sorted(pres.frozen_vertices),
@@ -160,7 +158,7 @@ def cmd_present(args: argparse.Namespace) -> int:
     compare_text = None
     if args.compare:  # read before the elimination, so a bad path fails fast
         compare_text = read_text(args.compare)
-    ip = present_invariant_ring(pres, args.max_len, _selection(args, pres), budget)
+    ip = present_invariant_ring(pres, args.max_len, _selection(args), budget)
     payload = {
         "command": "present",
         "K": sorted(pres.frozen_vertices),
@@ -193,7 +191,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_example_a1(args: argparse.Namespace) -> int:
     pres = parse_presentation(_data_text("a1_preprojective.quiver"))
     budget = _budget(args)
-    selection = [path_from_word(pres.quiver, w) for w in ("ec", "fc", "fd")]
+    selection = ["ec", "fc", "fd"]
 
     ideal = rep_ideal(pres)
     gens = lusztig_generators(pres, 2, selection)

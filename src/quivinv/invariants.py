@@ -20,11 +20,13 @@ from .quiver import (
     Path,
     Presentation,
     QuiverError,
+    canonical_rotation,
     compose,
     enumerate_cycles_in_k,
     enumerate_paths,
     framed_quiver,
     path_from_arrows,
+    path_from_word,
 )
 
 Source = Union[Path, AlgebraElement]
@@ -147,17 +149,25 @@ class GeneratorSet:
 
 
 def _apply_selection(
-    entries: list[GeneratorEntry], select: Optional[Sequence[Union[Path, str]]]
+    pres: Presentation, entries: list[GeneratorEntry], select: Sequence[str]
 ) -> list[GeneratorEntry]:
-    if select is None:
-        return entries
-    wanted = [s.word if isinstance(s, Path) else s for s in select]
+    """The entries of the selected words.  A cycle inside the frozen set (all
+    heads in K) is selected by any rotation; a word naming no path selects nothing."""
+    q, wanted = pres.quiver, []
+    for word in select:
+        try:
+            p = path_from_word(q, word)
+        except QuiverError:
+            wanted.append(None)
+            continue
+        if p.is_cycle and p.arrows and {q.arrow(n).head for n in p.arrows} <= pres.frozen_vertices:
+            p = canonical_rotation(p, q)  # the rotation enumerate_cycles_in_k emits
+        wanted.append(p.word)
     present = {e.word for e in entries}
-    missing = [w for w in wanted if w not in present]
+    missing = [w for w, g in zip(select, wanted) if g not in present]
     if missing:
         raise QuiverError(f"selection matches no generator: {missing}")
-    wanted_set = set(wanted)
-    return [e for e in entries if e.word in wanted_set]
+    return [e for e in entries if e.word in wanted]
 
 
 def invariant_functions(
@@ -180,14 +190,14 @@ def invariant_functions(
 def lusztig_generators(
     pres: Presentation,
     max_len: int,
-    select: Optional[Sequence[Union[Path, str]]] = None,
+    select: Optional[Sequence[str]] = None,
 ) -> GeneratorSet:
     """Invariant-ring generators up to the length bound.
 
     Emits trace entries for rotation-canonical cycles traversing only arrows
     with both endpoints frozen, then contraction entries (row-major index
     pairs) for paths with both endpoints unfrozen.  Zero polynomials are
-    skipped; an optional selection keeps only listed words.
+    skipped; an optional selection keeps only the generators of listed words.
     """
     if max_len < 1:
         raise QuiverError("max_len must be >= 1")
@@ -203,7 +213,7 @@ def lusztig_generators(
         # happens when an arrow name spells a composite word, e.g. arrow "ec"
         # next to arrows "e" and "c"
         raise QuiverError("generator labels collide; rename arrows")
-    return GeneratorSet(tuple(_apply_selection(entries, select)))
+    return GeneratorSet(tuple(entries if select is None else _apply_selection(pres, entries, select)))
 
 
 def rep_ideal(pres: Presentation) -> Ideal:

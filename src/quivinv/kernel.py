@@ -11,7 +11,7 @@ arrow variables from the combined ideal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .groebner import ComputeBudget, GroebnerBasis, Ideal, eliminate
 from .invariants import (
@@ -125,7 +125,7 @@ def _fresh_variable(entry: GeneratorEntry) -> Variable:
 def present_invariant_ring(
     pres: Presentation,
     max_len: int,
-    select: Optional[Sequence[Union[Path, str]]] = None,
+    select: Optional[Sequence[str]] = None,
     budget: Optional[ComputeBudget] = None,
 ) -> InvariantPresentation:
     """Present the invariant ring on the generators up to the length bound.

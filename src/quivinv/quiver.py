@@ -7,13 +7,14 @@ an empty arrow word based at a vertex.  All types are immutable values.
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .polyring import signed_sum
+from .polyring import exact_number, signed_products, signed_sum
 
 
 class QuiverError(ValueError):
@@ -148,10 +149,8 @@ class Path:
         """Right-to-left composition word, e.g. ``ec`` for e after c."""
         if self.is_trivial:
             return f"triv({self.tail})"
-        names = list(reversed(self.arrows))
-        if all(len(n) == 1 for n in names):
-            return "".join(names)
-        return "*".join(names)
+        names = self.arrows[::-1]
+        return ("" if all(len(n) == 1 for n in names) else "*").join(names)
 
     def __str__(self) -> str:
         return self.word
@@ -172,25 +171,62 @@ def path_from_arrows(quiver: Quiver, arrows: Sequence[str]) -> Path:
     return Path(tuple(arrows), objs[0].tail, objs[-1].head)
 
 
-def path_from_word(quiver: Quiver, word: str) -> Path:
-    """Parse a composition word (leftmost arrow applied last).
+_FACTOR = re.compile(
+    r"(?P<number>\d+(?:/\d+)?)|triv\(\s*(?P<vertex>[^)\s]+)\s*\)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+)
 
-    Accepts ``*``-separated names, or a bare concatenation when every arrow
-    name is a single character (``ec`` means e after c).
-    """
-    word = word.strip()
-    if word.startswith("triv(") and word.endswith(")"):
-        v = word[5:-1].strip()
-        if v not in quiver.vertices:
-            raise QuiverError(f"unknown vertex {v!r} in trivial path")
-        return trivial_path(v)
-    if "*" in word:
-        names = [t.strip() for t in word.split("*")]
-    else:
-        names = list(word)
-    if not names or any(not n for n in names):
-        raise QuiverError(f"cannot parse path word {word!r}")
-    return path_from_arrows(quiver, list(reversed(names)))
+
+def read_terms(quiver: Quiver, text: str) -> list[tuple[Path, Fraction]]:
+    """The ``(path, coefficient)`` terms of a signed sum of path words, such as
+    ``fc - 1/2 e*d + triv(0)``: see :mod:`quivinv.quiverfile` for the syntax.
+    Raises QuiverError only."""
+    try:
+        terms = signed_products(text, _FACTOR)
+    except ValueError as exc:
+        raise QuiverError(f"relation: {exc}") from None
+    arrows = quiver._arrow_by_name
+    out: list[tuple[Path, Fraction]] = []
+    for sign, factors in terms:
+        coeff = Fraction(sign)
+        names: list[str] = []  # right-to-left, as written
+        trivial_at: str | None = None
+        for pos, f in enumerate(factors):
+            number, vertex, name = f["number"], f["vertex"], f["name"]
+            if number is not None:
+                if pos != 0:
+                    raise QuiverError("coefficient must lead its term")
+                try:
+                    coeff *= exact_number(number)
+                except ValueError as exc:
+                    raise QuiverError(str(exc)) from None
+            elif vertex is not None:
+                if vertex not in quiver.vertices:
+                    raise QuiverError(f"unknown vertex {vertex!r} in triv()")
+                trivial_at = vertex
+            elif name not in arrows and all(a in arrows for a in name):
+                names.extend(name)  # one-letter arrow names run together
+            else:
+                names.append(quiver.arrow(name).name)  # raises on an unknown name
+        if names:
+            path = path_from_arrows(quiver, names[::-1])
+            if trivial_at is not None and trivial_at not in (path.head, path.tail):
+                raise QuiverError("triv() factor off the path's endpoints")
+        elif trivial_at is not None:
+            path = trivial_path(trivial_at)
+        else:
+            raise QuiverError("term without arrows (use triv(v) for constants)")
+        out.append((path, coeff))
+    return out
+
+
+def path_from_word(quiver: Quiver, word: str) -> Path:
+    """The path a word names: one term of :func:`read_terms` with coefficient
+    1, so ``ec``, ``e*c`` and ``e c`` all mean e after c, and
+    ``path_from_word(quiver, p.word) == p``."""
+    terms = read_terms(quiver, word)
+    if len(terms) != 1 or terms[0][1] != 1:
+        raise QuiverError(f"not a path word: {word!r}")
+    return terms[0][0]
 
 
 def compose(q: Path, p: Path) -> Path:

@@ -15,43 +15,37 @@
     g1 = f*c - e*d
     g2 = 1/2 d*e - c*f
 
-A relation is a signed sum of terms, read by :func:`polyring.signed_products`.
-A term is an optional leading coefficient, an exact rational ``p/q``, then a
-word of arrows, its factors separated by whitespace or ``*`` (a ``*`` goes
-only between two factors).  Words are read right-to-left as composition
-(``f*c`` applies ``c`` first).  A trivial path is written ``triv(vertex)``,
-alone or next to a word that starts or ends there, so deformed relations such
-as ``f*c - e*d - 2 triv(0)`` are accepted.  Arrow and relation names must
-match ``[A-Za-z_][A-Za-z0-9_]*``; vertex identifiers may be any
-whitespace-free token.
+A relation is a signed sum of path terms, read by :func:`quiver.read_terms`,
+which reads what :attr:`quiver.Path.word` writes.  A term is an optional
+leading rational ``p/q``, then a word of arrows read right-to-left as
+composition (``f*c`` applies ``c`` first), its factors separated by whitespace
+or ``*`` (a ``*`` goes only between two factors).  A declared arrow name is that
+arrow; any other name whose letters are all one-letter arrow names is read
+letter by letter (``fc`` = ``f*c``).  ``triv(vertex)`` is a trivial path, alone
+or next to a word that starts or ends there, so ``f*c - e*d - 2 triv(0)`` is a
+relation.  Arrow and relation names must match ``[A-Za-z_][A-Za-z0-9_]*``;
+vertex identifiers may be any whitespace-free token.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
-from .polyring import exact_number, signed_products
 from .quiver import (
     AlgebraElement,
     Arrow,
     DimensionVector,
-    Path,
     Presentation,
     Quiver,
     QuiverError,
     Relation,
     algebra_element,
-    path_from_arrows,
-    trivial_path,
+    read_terms,
 )
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _ARROW_LINE = re.compile(r"(?P<name>\S+)\s*:\s*(?P<tail>\S+)\s*->\s*(?P<head>\S+)\Z")
 _DIM_LINE = re.compile(r"(?P<vertex>\S+)\s*=\s*(?P<dim>\d+)\Z")
-_FACTOR = re.compile(
-    r"(?P<number>\d+(?:/\d+)?)|triv\(\s*(?P<vertex>[^)\s]+)\s*\)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-)
 
 _SECTIONS = ("vertices", "arrows", "dims", "K", "relations")
 
@@ -94,52 +88,14 @@ def _split_sections(text: str) -> dict[str, list[tuple[int, str]]]:
 
 def _parse_relation_element(quiver: Quiver, expr: str, lineno: int) -> AlgebraElement:
     try:
-        terms = signed_products(expr, _FACTOR)
-    except ValueError as exc:
-        raise QuiverFileError(f"relation: {exc}", lineno) from None
-    built: list[tuple[Path, Fraction]] = []
-    for sign, factors in terms:
-        coeff = Fraction(sign)
-        word: list[str] = []  # right-to-left factors as written
-        trivial_at: str | None = None
-        for pos, f in enumerate(factors):
-            number, vertex, name = f["number"], f["vertex"], f["name"]
-            if number is not None:
-                if pos != 0:
-                    raise QuiverFileError("coefficient must lead its term", lineno)
-                try:
-                    coeff *= exact_number(number)
-                except ValueError as exc:
-                    raise QuiverFileError(str(exc), lineno) from None
-            elif vertex is not None:
-                if vertex not in quiver.vertices:
-                    raise QuiverFileError(f"unknown vertex {vertex!r} in triv()", lineno)
-                trivial_at = vertex
-            else:
-                try:
-                    quiver.arrow(name)
-                except QuiverError:
-                    raise QuiverFileError(f"unknown arrow {name!r}", lineno) from None
-                word.append(name)
-        if word:
-            try:
-                # written left-to-right as composition: reverse to traversal order
-                path = path_from_arrows(quiver, list(reversed(word)))
-            except QuiverError as exc:
-                raise QuiverFileError(str(exc), lineno) from None
-            if trivial_at is not None and trivial_at not in (path.head, path.tail):
-                raise QuiverFileError("triv() factor off the path's endpoints", lineno)
-        elif trivial_at is not None:
-            path = trivial_path(trivial_at)
-        else:
-            raise QuiverFileError("term without arrows (use triv(v) for constants)", lineno)
-        built.append((path, coeff))
-
-    heads = {p.head for p, _ in built}
-    tails = {p.tail for p, _ in built}
+        terms = read_terms(quiver, expr)
+    except QuiverError as exc:
+        raise QuiverFileError(str(exc), lineno) from None
+    heads = {p.head for p, _ in terms}
+    tails = {p.tail for p, _ in terms}
     if len(heads) != 1 or len(tails) != 1:
         raise QuiverFileError("mixed bigrading in relation", lineno)
-    return algebra_element(quiver, heads.pop(), tails.pop(), built)
+    return algebra_element(quiver, heads.pop(), tails.pop(), terms)
 
 
 def parse_presentation(text: str) -> Presentation:

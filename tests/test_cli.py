@@ -81,6 +81,19 @@ class TestGenerators:
         code, _, err = run(capsys, "generators", str(a1_file), "--select", "zz")
         assert code == 2
 
+    def test_selection_by_a_two_letter_arrow_name(self, capsys, tmp_path):
+        path = tmp_path / "loops.quiver"
+        path.write_text("[vertices] 0\n[arrows]\naa: 0 -> 0\nbb: 0 -> 0\n[dims]\n0 = 1\n[K]\n")
+        code, out, _ = run(capsys, "generators", str(path), "--select", "aa")
+        assert (code, out) == (0, "x[aa;1,1] = x[aa;1,1]\n")
+
+    @pytest.mark.parametrize("word", ["ab", "ba"])
+    def test_a_trace_is_selected_by_any_rotation(self, capsys, tmp_path, word):
+        path = tmp_path / "loops.quiver"
+        path.write_text("[vertices] 0\n[arrows]\na: 0 -> 0\nb: 0 -> 0\n[dims]\n0 = 1\n[K] 0\n")
+        code, out, _ = run(capsys, "generators", str(path), "--select", word)
+        assert (code, out) == (0, "tr[ba] = x[a;1,1]*x[b;1,1]\n")
+
     def test_byte_identical_json(self, capsys, a1_file):
         _, first, _ = run(capsys, "generators", str(a1_file), "--format", "json")
         _, second, _ = run(capsys, "generators", str(a1_file), "--format", "json")

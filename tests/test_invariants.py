@@ -180,6 +180,20 @@ class TestLusztigGenerators:
             "x[a;1,1]^2 + 2*x[a;1,2]*x[a;2,1] + x[a;2,2]^2"
         )
 
+    def test_a_starred_word_selects_what_its_concatenation_selects(self, a1):
+        assert lusztig_generators(a1, 2, select=["e*c"]) == lusztig_generators(a1, 2, select=["ec"])
+
+    def test_a_trace_is_selected_by_any_rotation(self):
+        pres = parse_presentation(JORDAN_TEXT.replace("a: 0 -> 0", "a: 0 -> 0\nb: 0 -> 0"))
+        for word in ("ab", "ba"):
+            assert [e.label for e in lusztig_generators(pres, 2, select=[word])] == ["tr[ba]"]
+
+    def test_a_cycle_leaving_the_frozen_set_is_not_rotated(self, a1):
+        # ce runs through vertex 0, outside K = {1}; its rotation ec is a contraction word
+        assert a1.frozen_vertices == {"1"}
+        with pytest.raises(QuiverError, match=r"no generator: \['ce'\]"):
+            lusztig_generators(a1, 2, select=["ce"])
+
     def test_unknown_selection_rejected(self, a1):
         with pytest.raises(QuiverError, match="selection matches no generator"):
             lusztig_generators(a1, 2, select=["zz"])

@@ -99,6 +99,34 @@ class TestCompose:
         assert compose(r, compose(qq, p)) == compose(compose(r, qq), p)
 
 
+LOOPED = Quiver(("0", "1"), (Arrow("aa", "0", "0"), Arrow("bb", "0", "1"), Arrow("cc", "1", "0")))
+
+
+class TestPathWords:
+    @pytest.mark.parametrize("name", ["a1", "looped"])
+    def test_every_printed_word_reads_back(self, a1, name):
+        q = a1.quiver if name == "a1" else LOOPED
+        paths = enumerate_paths(q, q.vertices, q.vertices, 3, include_trivial=True)
+        assert len(paths) > len(q.vertices)
+        for p in paths:
+            assert path_from_word(q, p.word) == p
+
+    def test_a_declared_name_wins_over_its_letters(self):
+        q = Quiver(("0", "1"), (Arrow("c", "0", "1"), Arrow("e", "1", "0"), Arrow("ec", "0", "0")))
+        assert path_from_word(q, "ec") == Path(("ec",), "0", "0")
+        assert path_from_word(q, "e*c") == Path(("c", "e"), "0", "0")
+        assert path_from_word(q, "e c") == Path(("c", "e"), "0", "0")
+
+    def test_letters_read_only_when_all_are_arrows(self, a1):
+        with pytest.raises(QuiverError, match="unknown arrow 'fz'"):
+            path_from_word(a1.quiver, "fz")
+
+    @pytest.mark.parametrize("word", ["fc - ed", "2 fc", "-fc", ""])
+    def test_a_word_is_one_term_with_coefficient_one(self, a1, word):
+        with pytest.raises(QuiverError):
+            path_from_word(a1.quiver, word)
+
+
 class TestEnumeratePaths:
     def test_a1_loops_at_zero_up_to_length_two(self, a1):
         got = enumerate_paths(a1.quiver, {"0"}, {"0"}, 2)

@@ -179,25 +179,38 @@ class TestFuzz:
                 pass
 
 
-# Arrow names of two letters: one-letter names print as a bare concatenation
-# (``fc``), which the file reader does not accept.
 LOOPED = Quiver(("0", "1"), (Arrow("aa", "0", "0"), Arrow("bb", "0", "1"), Arrow("cc", "1", "0")))
 nonzero_rationals = st.fractions(max_denominator=12).filter(lambda c: c != 0)
 
 
+A1 = parse_presentation(BUNDLED).quiver  # one-letter arrow names: words print as ``fc``
+
+
 @st.composite
-def looped_elements(draw):
+def elements(draw, quiver):
     tail, head = draw(st.sampled_from([("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")]))
-    paths = enumerate_paths(LOOPED, {tail}, {head}, 3, include_trivial=True)
+    paths = enumerate_paths(quiver, {tail}, {head}, 3, include_trivial=True)
     chosen = draw(st.lists(st.sampled_from(paths), min_size=1, max_size=5, unique=True))
-    return algebra_element(LOOPED, head, tail, [(p, draw(nonzero_rationals)) for p in chosen])
+    return algebra_element(quiver, head, tail, [(p, draw(nonzero_rationals)) for p in chosen])
 
 
 class TestPrintedRelationsReadBack:
-    @given(looped_elements())
+    @given(elements(LOOPED))
     @settings(max_examples=200, deadline=None)
     def test_printed_element_parses_to_itself(self, element):
         assert _parse_relation_element(LOOPED, str(element), 1) == element
+
+    @given(elements(A1))
+    @settings(max_examples=200, deadline=None)
+    def test_printed_element_with_one_letter_names_parses_to_itself(self, element):
+        assert _parse_relation_element(A1, str(element), 1) == element
+
+    def test_printed_relations_of_the_bundled_file_paste_back(self):
+        pres = parse_presentation(BUNDLED)
+        printed = [f"{r.name} = {r.element}" for r in pres.relations]
+        assert printed == ["g1 = fc - ed", "g2 = de - cf"]
+        head = BUNDLED.split("[relations]")[0]
+        assert parse_presentation(head + "[relations]\n" + "\n".join(printed)) == pres
 
     def test_rational_and_trivial_terms(self):
         element = _parse_relation_element(LOOPED, "2*triv(0) - 1/3*aa*aa", 1)
