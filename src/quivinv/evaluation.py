@@ -160,34 +160,19 @@ def path_product(pres: Presentation, point: RepPoint, path: Path) -> Matrix:
     return _product(point, path, pres.dims[path.tail])
 
 
-def framed_point(pres: Presentation, point: RepPoint) -> RepPoint:
-    """Image of a point under the framing identification.
-
-    Arrows inside the frozen set keep their matrices; a crossing arrow into
-    the set contributes its columns, one per added arrow, and a crossing arrow
-    out of the set contributes its rows.
-    """
-    fq = framed_quiver(pres)
-    out: RepPoint = {}
-    prov = fq.provenance_map
-    for a in fq.quiver.arrows:
-        if a.name not in prov:
-            out[a.name] = point[a.name]
-            continue
-        source, index = prov[a.name]
-        m = point[source]
-        if a.tail == fq.infinity:  # column arrow
-            out[a.name] = tuple((row[index - 1],) for row in m)
-        else:  # row arrow
-            out[a.name] = (m[index - 1],)
-    return out
-
-
 def framed_trace(pres: Presentation, framed_path: Path, point: RepPoint) -> Number:
-    """Trace of the matrix product along a framed cycle at the framed point."""
-    mats = framed_point(pres, point)
-    cols = framed_quiver(pres).dims[framed_path.tail]
-    return mat_trace(_product(mats, framed_path, cols))
+    """Trace of the matrix product along a framed cycle at the image of a point
+    under the framing identification: arrows inside the frozen set keep their
+    matrices, a column arrow takes its source's column and a row arrow its row."""
+    fq = framed_quiver(pres)
+    mats = dict(point)
+    for name, (source, index) in fq.provenance.items():
+        m = point[source]
+        if fq.quiver.arrow(name).tail == fq.infinity:
+            mats[name] = tuple((row[index - 1],) for row in m)
+        else:
+            mats[name] = (m[index - 1],)
+    return mat_trace(_product(mats, framed_path, fq.dims[framed_path.tail]))
 
 
 @dataclass

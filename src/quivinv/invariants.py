@@ -257,8 +257,7 @@ def framed_correspondence(
     if not (1 <= i <= v[ac.head] and 1 <= j <= v[ab.tail]):
         raise QuiverError("framed indices out of range")
     fq = framed_quiver(pres)
-    alpha = fq.added_arrow(b, j)
-    beta = fq.added_arrow(c, i)
-    framed_cycle = Path((alpha,) + mid.arrows + (beta,), fq.infinity, fq.infinity)
+    added = {source: name for name, source in fq.provenance.items()}
+    framed_cycle = Path((added[b, j],) + mid.arrows + (added[c, i],), fq.infinity, fq.infinity)
     p = compose(path_from_arrows(q, [c]), compose(mid, path_from_arrows(q, [b])))
     return framed_cycle, contraction_poly(pres, p, i, j)

@@ -430,17 +430,7 @@ class FramedQuiver:
     quiver: Quiver
     dims: DimensionVector
     infinity: str
-    provenance: tuple[tuple[str, tuple[str, int]], ...]
-
-    @cached_property
-    def provenance_map(self) -> dict[str, tuple[str, int]]:
-        return dict(self.provenance)
-
-    def added_arrow(self, source: str, index: int) -> str:
-        for name, (src, k) in self.provenance:
-            if src == source and k == index:
-                return name
-        raise QuiverError(f"no framed arrow for ({source}, {index})")
+    provenance: Mapping[str, tuple[str, int]]
 
 
 def framed_quiver(pres: Presentation) -> FramedQuiver:
@@ -454,7 +444,7 @@ def framed_quiver(pres: Presentation) -> FramedQuiver:
     s01 = [a for a in q.arrows if a.tail not in K and a.head in K]
     s10 = [a for a in q.arrows if a.tail in K and a.head not in K]
     arrows: list[Arrow] = list(s11)
-    prov: list[tuple[str, tuple[str, int]]] = []
+    prov: dict[str, tuple[str, int]] = {}
     taken = {a.name for a in s11}
 
     def fresh(base: str) -> str:
@@ -468,13 +458,13 @@ def framed_quiver(pres: Presentation) -> FramedQuiver:
         for j in range(1, v[b.tail] + 1):
             name = fresh(f"{b.name}_col{j}")
             arrows.append(Arrow(name, inf, b.head))
-            prov.append((name, (b.name, j)))
+            prov[name] = (b.name, j)
     for c in s10:
         for i in range(1, v[c.head] + 1):
             name = fresh(f"{c.name}_row{i}")
             arrows.append(Arrow(name, c.tail, inf))
-            prov.append((name, (c.name, i)))
+            prov[name] = (c.name, i)
     verts = tuple(x for x in q.vertices if x in K) + (inf,)
     fq = Quiver(verts, tuple(arrows))
     dims = DimensionVector(tuple((x, 1 if x == inf else v[x]) for x in verts))
-    return FramedQuiver(fq, dims, inf, tuple(prov))
+    return FramedQuiver(fq, dims, inf, prov)

@@ -11,7 +11,9 @@ from quivinv import (
     check_invariance,
     contraction_poly,
     eval_poly,
+    framed_quiver,
     fresh_var,
+    parse_presentation,
     path_from_word,
     random_group,
     random_rep,
@@ -339,3 +341,22 @@ class TestFramedEvaluation:
         for seed in range(5):
             b = random_rep(a1, seed)
             assert framed_trace(a1, cycle, b) == eval_poly(poly, a1, b)
+
+    def test_framing_renames_around_taken_names(self):
+        # a vertex inf and a loop c_col1 hold the names the framing would give
+        # infinity and c's first column arrow, so both of those get a prime
+        pres = parse_presentation(
+            "[vertices] inf 1\n[arrows]\nc_col1: 1 -> 1\nc: inf -> 1\ne: 1 -> inf\n"
+            "[dims]\ninf = 2\n1 = 2\n[K] 1\n"
+        )
+        fq = framed_quiver(pres)
+        assert fq.infinity == "inf'"
+        assert fq.provenance["c_col1'"] == ("c", 1)
+        cycle, _ = framed_correspondence(pres, "c", trivial_path("1"), "e", 2, 1)
+        assert cycle.arrows == ("c_col1'", "e_row2")
+        for mid in (trivial_path("1"), path_from_word(pres.quiver, "c_col1")):
+            for i, j in itertools.product((1, 2), repeat=2):
+                cycle, poly = framed_correspondence(pres, "c", mid, "e", i, j)
+                for seed in range(5):
+                    point = random_rep(pres, seed)
+                    assert framed_trace(pres, cycle, point) == eval_poly(poly, pres, point)

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from importlib import resources
 
@@ -230,3 +231,38 @@ def test_engine_work_with_many_queued_pairs_is_pinned():
     with pytest.raises(BudgetExceededError):
         present_invariant_ring(pres, 2, select=["ec"], budget=budget)
     assert (budget.pairs_used, budget.steps_used) == (1754, 10001)
+
+
+@pytest.mark.parametrize(
+    "dims, deformed, size",
+    [("0 = 2\n1 = 1\n", False, 105), ("0 = 1\n1 = 1\n", True, 10), ("0 = 2\n1 = 2\n", True, 302)],
+    ids=["a1-21", "deformed-11", "deformed-22"],
+)
+def test_presentation_basis_is_torus_homogeneous(dims, deformed, size):
+    # the defining ideal is homogeneous for the torus at every vertex, where
+    # x[a;i,j] weighs -e(head,i) + e(tail,j) and a fresh variable weighs what
+    # its generator does, so each element of its reduced basis must be too
+    text = resources.files("quivinv").joinpath("data", "a1_preprojective.quiver").read_text("utf-8")
+    text = text.replace("0 = 2\n1 = 2\n", dims)
+    if deformed:
+        text = text.replace("f*c - e*d", "f*c - e*d - triv(0)").replace("c*f", "c*f + triv(1)")
+    pres = parse_presentation(text)
+    ip = present_invariant_ring(pres, 2)
+    weights = []
+
+    def weight(m):
+        total = Counter()
+        for e, w in zip(m, weights):
+            for key, x in w.items():
+                total[key] += e * x
+        return {key: x for key, x in total.items() if x}
+
+    for var in ring_for(pres).variables:
+        a = pres.quiver.arrow(var.name)
+        w = Counter({(a.tail, var.col): 1})
+        w[a.head, var.row] -= 1
+        weights.append(w)
+    weights += [weight(entry.polynomial.terms[0][0]) for _, entry in ip.dictionary]
+    assert len(ip.basis.polys) == size
+    for f in ip.basis.polys:
+        assert all(weight(m) == weight(f.terms[0][0]) for m, _ in f.terms), str(f)

@@ -240,7 +240,7 @@ class TestFramedQuiver:
             else:
                 assert (a.tail, a.head) == ("1", "inf")
         assert fq.dims["inf"] == 1 and fq.dims["1"] == 2
-        assert fq.provenance_map["c_col2"] == ("c", 2)
+        assert fq.provenance["c_col2"] == ("c", 2)
 
     def test_freeze_everything_keeps_arrows_and_isolates_infinity(self, a1):
         fq = framed_quiver(a1.with_frozen(["0", "1"]))

@@ -2,16 +2,15 @@ import gc
 import itertools
 import random
 import weakref
+from fractions import Fraction
 
-import pytest
 from hypothesis import given, strategies as st
 
 from quivinv import (
     AlgebraElement,
-    BudgetExceededError,
-    ComputeBudget,
     Ideal,
     kernel_generators,
+    parse_presentation,
     path_from_word,
     rep_ideal,
     ring_for,
@@ -56,8 +55,6 @@ def test_same_seed_same_report(a1):
 
 
 def test_arrowless_quiver_passes_vacuously():
-    from quivinv import parse_presentation
-
     pres = parse_presentation("[vertices] 0\n[arrows]\n[dims]\n0 = 2\n[K] 0\n")
     report = run_verification(pres, seed=3)
     assert report.passed
@@ -124,7 +121,7 @@ def test_more_failed_checks_report_the_trials_done(a1, monkeypatch):
     rng = random.Random(0)
     rotation = CheckResult.of("rotation", verification._trace_rotation(a1, rng), 50)
     oracle = CheckResult.of("oracle", verification._evaluation_oracle(a1, rng), 30)
-    traversal = CheckResult.of("traversal", verification._traversal(a1, rng, None), 30)
+    traversal = CheckResult.of("traversal", verification._traversal(a1, rng), 30)
     assert (rotation.passed, rotation.trials) == (False, 1)
     assert (oracle.passed, oracle.trials) == (False, 1)
     assert (traversal.passed, traversal.trials) == (False, 1)
@@ -150,15 +147,18 @@ def test_path_counts_report_the_quivers_checked(monkeypatch):
     assert (result.passed, result.trials) == (False, 1)
 
 
-def test_traversal_spends_the_given_budget(a1):
-    def traversal(budget):
-        return CheckResult.of("t", verification._traversal(a1, random.Random(0), budget), 30)
+small_terms = st.lists(
+    st.tuples(st.tuples(*[st.integers(0, 2)] * 4), st.integers(-3, 3).filter(bool)), max_size=4
+)
 
-    budget = ComputeBudget()
-    assert traversal(budget).passed
-    assert budget.steps_used > 0
-    with pytest.raises(BudgetExceededError):
-        traversal(ComputeBudget(max_steps=0))
+
+@given(small_terms, st.sets(st.integers(0, 3)))
+def test_variable_ideal_membership_matches_the_engine(terms, chosen):
+    # the exponent rule the traversal check uses, against a Groebner basis
+    ring = ring_for(parse_presentation("[vertices] 0\n[arrows]\na: 0 -> 0\n[dims]\n0 = 2\n"))
+    f = ring.polynomial((m, Fraction(c)) for m, c in terms)
+    engine = Ideal(ring, [ring.var(x) for x in chosen]).groebner_basis().reduces_to_zero(f)
+    assert verification._in_variable_ideal(f, sorted(chosen)) == engine
 
 
 def test_no_basis_outlives_a_run(a1, monkeypatch):
