@@ -15,6 +15,11 @@ Everything runs sequentially; the reduced basis is unique per order, so the
 printed result is deterministic by construction.  Nothing is cached: each
 :meth:`Ideal.groebner_basis` call builds a basis that its caller owns, and
 :func:`eliminate` reads an elimination ideal off such a basis.
+
+On homogeneous input the sugar of a pair is its degree, so a run that leaves
+out generators and pairs above a degree D (``max_degree``) is exact through D
+(Kreuzer and Robbiano, *Computational Commutative Algebra 2*, on truncated
+bases): it yields the reduced basis's elements of degree at most D.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Optional
@@ -300,8 +306,9 @@ def _poly_sort_key(terms: list):
     return tuple((k, c) for k, _, c in terms)
 
 
-def _buchberger(inputs: list[list], packing: _Packing, budget: ComputeBudget) -> list[list]:
-    """Reduced Groebner basis of the given engine polynomials."""
+def _buchberger(inputs: list[list], packing: _Packing, budget: ComputeBudget, max_degree=None):
+    """Reduced Groebner basis of the given engine polynomials; with
+    ``max_degree``, of homogeneous ones through that degree."""
     g, shift, lcm = packing.guard, packing.shift, packing.lcm
     reducers = _Reducers(packing)
     basis = reducers.reducers
@@ -335,13 +342,15 @@ def _buchberger(inputs: list[list], packing: _Packing, budget: ComputeBudget) ->
                     continue  # Buchberger's first criterion kills the class
                 i = groups[L]
                 sug = max(basis[i].sugar - basis[i].deg, h.sugar - h.deg) + (L >> shift)
+                if max_degree is not None and sug > max_degree:
+                    continue  # on homogeneous input the sugar is the degree
                 if sug >= packing.limit:
                     raise _Overflow
                 heapq.heappush(heap, (sug, packing.key(L), i, t, L))
         reducers.append(h)
 
     for f in sorted(inputs, key=_poly_sort_key, reverse=True):
-        if f:
+        if f and (max_degree is None or f[0][1] >> shift <= max_degree):
             add_element(f)
 
     while heap:
@@ -393,22 +402,29 @@ def _interreduce(polys: list[list], packing: _Packing, budget: ComputeBudget) ->
 class GroebnerBasis:
     """The unique reduced, monic Groebner basis for an ideal and order.
 
-    ``packing`` is the monomial encoding the basis was computed with;
-    :meth:`normal_form` repacks the basis, and rebuilds its divisor index,
-    wider when an input needs it.
+    The basis keeps its engine form, a divisor index over packed term lists,
+    and builds :attr:`polys` when first read.  :meth:`normal_form` repacks
+    the basis, and rebuilds its index, wider when an input needs it.  With
+    ``max_degree`` not None the basis holds only the elements up to that
+    degree, and :meth:`normal_form` refuses polynomials above it.
     """
 
-    def __init__(self, ring: PolynomialRing, order: frozenset[int], packing, engine_polys: list[list]):
+    def __init__(self, ring, order: frozenset[int], packing, engine_polys: list, max_degree=None):
         self.ring = ring
         self.order = order
-        self.polys: tuple[Polynomial, ...] = tuple(
-            ring.polynomial([(packing.unpack(e), Fraction(c, p[0][2])) for _, e, c in p])
-            for p in engine_polys
-        )
+        self.max_degree = max_degree
         self._reducers = _Reducers(packing, (_reducer_of(p, packing.shift) for p in engine_polys))
 
+    def _polynomial(self, terms: list) -> Polynomial:
+        unpack, lc = self._reducers.packing.unpack, terms[0][2]
+        return self.ring.polynomial([(unpack(e), Fraction(c, lc)) for _, e, c in terms])
+
+    @cached_property
+    def polys(self) -> tuple[Polynomial, ...]:
+        return tuple(self._polynomial(r.terms) for r in self._reducers.reducers)
+
     def __len__(self) -> int:
-        return len(self.polys)
+        return len(self._reducers.reducers)
 
     def __iter__(self):
         return iter(self.polys)
@@ -417,6 +433,8 @@ class GroebnerBasis:
         """The unique remainder of f modulo this basis."""
         if f.ring != self.ring:
             raise RingError("ring mismatch")
+        if self.max_degree is not None and f.total_degree > self.max_degree:
+            raise ValueError(f"degree {f.total_degree} is above the basis bound {self.max_degree}")
         budget = budget or ComputeBudget()
         spent = budget.steps_used
         while True:
@@ -428,10 +446,11 @@ class GroebnerBasis:
             except _Overflow:
                 budget.steps_used = spent
                 wider = _Packing(self.order, self.ring.nvars, 2 * packing.bits)
-                engine_polys = [_primitive(_to_engine(p, wider)[0]) for p in self.polys]
-                self._reducers = _Reducers(
-                    wider, (_reducer_of(p, wider.shift) for p in engine_polys)
+                repacked = (
+                    [(*wider.pack(packing.unpack(e)), c) for _, e, c in r.terms]
+                    for r in self._reducers.reducers
                 )
+                self._reducers = _Reducers(wider, (_reducer_of(p, wider.shift) for p in repacked))
         denom *= alpha
         return self.ring.polynomial([(packing.unpack(m), Fraction(c, denom)) for _, m, c in h])
 
@@ -459,10 +478,15 @@ class Ideal:
         return f"Ideal({len(self.generators)} generators)"
 
     def groebner_basis(
-        self, order: frozenset[int] = frozenset(), budget: Optional[ComputeBudget] = None
+        self, order: frozenset[int] = frozenset(), budget: Optional[ComputeBudget] = None,
+        max_degree: Optional[int] = None,
     ) -> GroebnerBasis:
+        """The reduced basis for ``order``: only its elements up to ``max_degree``
+        when that is set and every generator is homogeneous, else all of them."""
         if not all(isinstance(i, int) and 0 <= i < self.ring.nvars for i in order):
             raise RingError(f"order {set(order)} names a variable outside the ring")
+        if any(len({sum(m) for m, _ in g.terms}) > 1 for g in self.generators):
+            max_degree = None
         budget = budget or ComputeBudget()
         spent = budget.pairs_used, budget.steps_used
         # first field width: room for four times the largest input degree
@@ -471,24 +495,27 @@ class Ideal:
             packing = _Packing(order, self.ring.nvars, bits)
             try:
                 engine = [_primitive(_to_engine(g, packing)[0]) for g in self.generators]
-                basis = _buchberger([e for e in engine if e], packing, budget)
+                basis = _buchberger([e for e in engine if e], packing, budget, max_degree)
                 break
             except _Overflow:  # start over at double width, as if never begun
                 budget.pairs_used, budget.steps_used = spent
                 bits *= 2
-        return GroebnerBasis(self.ring, order, packing, basis)
+        return GroebnerBasis(self.ring, order, packing, basis, max_degree)
 
 
 def eliminate(basis: GroebnerBasis) -> Ideal:
     """The elimination ideal of a basis computed with variables in front.
 
     Returns the basis elements free of the front block (``basis.order``), as
-    an ideal of the ring of the remaining variables.
+    an ideal of the ring of the remaining variables; the elements are picked by
+    their packed exponents, and only those kept become polynomials.
     """
     ring, front = basis.ring, basis.order
     subring = PolynomialRing([v for i, v in enumerate(ring.variables) if i not in front])
-    kept = [p for p in basis.polys if not any(m[i] for m, _ in p.terms for i in front)]
-    return Ideal(subring, [p.to_ring(subring) for p in kept])
+    reducers, packing = basis._reducers.reducers, basis._reducers.packing
+    front_fields = sum(packing.limit - 1 << i * packing.stride for i in front)
+    kept = [r.terms for r in reducers if not any(e & front_fields for _, e, _ in r.terms)]
+    return Ideal(subring, [basis._polynomial(t).to_ring(subring) for t in kept])
 
 
 def ideal_equal(left: Ideal, right: Ideal, budget: Optional[ComputeBudget] = None) -> bool:

@@ -166,6 +166,17 @@ def _traversal(pres: Presentation, rng: random.Random):
         yield None
 
 
+_LIFT_POOL_LEN = 2  # the longest path the lift check draws for u, w and the base
+
+
+def _normal_form_degree(pres: Presentation, kernel) -> int:
+    """The highest degree verify reduces modulo the representation ideal: that
+    of a kernel generator, or of a lift check entry, a path u*g*w plus its base."""
+    relation_len = max((len(p) for r in pres.relations for p, _ in r.element.terms), default=0)
+    kernel_degree = max((k.polynomial.total_degree for k in kernel), default=0)
+    return max(kernel_degree, relation_len + 2 * _LIFT_POOL_LEN)
+
+
 def _lift_independence(
     pres: Presentation,
     rng: random.Random,
@@ -177,7 +188,7 @@ def _lift_independence(
     the representation ideal's basis ``gb``; a draw with no base path of the
     sandwich's shape is not a trial, and at most ``6 * trials`` are made."""
     q = pres.quiver
-    pool = _path_pool(pres, 2)
+    pool = _path_pool(pres, _LIFT_POOL_LEN)
     for _ in range(6 * trials if pres.relations else 0):
         rel = pres.relations[rng.randrange(len(pres.relations))]
         g = rel.element
@@ -302,7 +313,8 @@ def run_verification(
     kernel = kernel_generators(gen_pres, max_u, max_w)
     entries = [(k.label, k.polynomial) for k in kernel]
     checks.append(check_invariance(entries, pres, 20, rng.randrange(2**31), "kernel_invariance"))
-    gb = rep_ideal(pres).groebner_basis(budget=budget)
+    degree = _normal_form_degree(pres, kernel)
+    gb = rep_ideal(pres).groebner_basis(budget=budget, max_degree=degree)
     checks.append(CheckResult.of("kernel_membership", _kernel_membership(gb, kernel, budget)))
     checks.append(CheckResult.of("traversal", _traversal(pres, rng), 30))
     lift = _lift_independence(pres, rng, 30, gb, budget)

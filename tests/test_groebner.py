@@ -261,6 +261,101 @@ class TestRandomIdeals:
             assert gb.reduces_to_zero(R.polynomial(lifted_terms))
 
 
+def homogeneous_polys(ring, max_degree=3):
+    """Nonzero homogeneous polynomials of degree 1 to ``max_degree`` in ``ring``."""
+    variables = st.lists(st.integers(0, ring.nvars - 1), min_size=1, max_size=max_degree)
+    terms = st.lists(st.tuples(variables, st.integers(-3, 3).filter(bool)), min_size=1, max_size=3)
+
+    def poly(degree, terms):
+        # each term's variables, repeated or cut to the degree
+        return ring.polynomial(
+            (tuple((v * degree)[:degree].count(i) for i in range(ring.nvars)), Fraction(c))
+            for v, c in terms
+        )
+
+    return st.builds(poly, st.integers(1, max_degree), terms).filter(lambda p: not p.is_zero)
+
+
+def mixed_polys(ring, max_degree):
+    """Polynomials with terms of any degree up to ``max_degree``."""
+    term = st.tuples(
+        st.lists(st.integers(0, ring.nvars - 1), max_size=max_degree),
+        st.integers(-3, 3).filter(bool),
+    )
+    return st.lists(term, max_size=4).map(
+        lambda terms: ring.polynomial(
+            (tuple(v.count(i) for i in range(ring.nvars)), Fraction(c)) for v, c in terms
+        )
+    )
+
+
+RING_OF = {n: PolynomialRing([fresh_var(f"v{i}", 1, 1) for i in range(n)]) for n in (3, 4)}
+
+
+class TestDegreeBound:
+    """A basis of homogeneous generators built through degree D."""
+
+    @given(st.sampled_from([3, 4]), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_truncated_basis_is_the_full_basis_through_the_bound(self, nvars, data):
+        ring = RING_OF[nvars]
+        order = data.draw(fronts(nvars))
+        ideal = Ideal(ring, data.draw(st.lists(homogeneous_polys(ring), min_size=2, max_size=3)))
+        full = ideal.groebner_basis(order, ComputeBudget(max_steps=200_000))
+        top = max(p.total_degree for p in full.polys)
+        forms = data.draw(st.lists(mixed_polys(ring, top + 1), min_size=1, max_size=3))
+        for bound in range(top + 2):
+            gb = ideal.groebner_basis(order, ComputeBudget(max_steps=200_000), max_degree=bound)
+            assert gb.max_degree == bound
+            assert gb.polys == tuple(p for p in full.polys if p.total_degree <= bound)
+            for f in forms:
+                low = ring.polynomial((m, c) for m, c in f.terms if sum(m) <= bound)
+                assert gb.normal_form(low) == full.normal_form(low)
+            with pytest.raises(ValueError) as raised:
+                gb.normal_form(ring.var(0) ** (bound + 1))
+            assert not isinstance(raised.value, RingError)
+
+    @given(st.sampled_from([3, 4]), st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_bound_is_ignored_on_inhomogeneous_generators(self, nvars, data):
+        ring = RING_OF[nvars]
+        first, *rest = data.draw(st.lists(homogeneous_polys(ring), min_size=1, max_size=3))
+        ideal = Ideal(ring, [first + ring.one, *rest])  # first has degree 1 or more
+        full = ideal.groebner_basis(budget=ComputeBudget(max_steps=200_000))
+        bound = data.draw(st.integers(0, 3))
+        gb = ideal.groebner_basis(budget=ComputeBudget(max_steps=200_000), max_degree=bound)
+        assert gb.max_degree is None and gb.polys == full.polys
+        f = ring.var(0) ** (bound + 1)
+        assert gb.normal_form(f) == full.normal_form(f)
+
+    def test_bound_leaves_out_generators_above_it(self):
+        gb = Ideal(R, [X * Y, Z**3]).groebner_basis(max_degree=2)
+        assert gb.polys == (X * Y,) and len(gb) == 1
+        assert gb.normal_form(Z**2 + 2 * X * Y) == Z**2
+
+
+class TestLazyPolynomials:
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        """The engine term lists converted to polynomials, in order."""
+        built, make = [], groebner.GroebnerBasis._polynomial
+        monkeypatch.setattr(
+            groebner.GroebnerBasis, "_polynomial", lambda self, t: built.append(t) or make(self, t)
+        )
+        return built
+
+    def test_polys_are_built_once_when_read(self, built):
+        gb = Ideal(R, [X * Y - 1, Y * Y - 1]).groebner_basis(X_FIRST)
+        assert len(gb) == 2 and gb.normal_form(X * X) == R.one and built == []
+        assert list(gb) == list(gb.polys) and gb.polys is gb.polys
+        assert len(built) == 2
+
+    def test_eliminate_converts_only_the_front_free_elements(self, built):
+        gb = Ideal(R, [X - Y**2, X - Z**2]).groebner_basis(X_FIRST)
+        assert [str(p) for p in eliminate(gb).generators] == ["y[1,1]^2 - z[1,1]^2"]
+        assert len(built) == 1 < len(gb)
+
+
 class TestPackedMonomials:
     """The engine's packed (K, E) monomials against exponent-tuple arithmetic."""
 
@@ -350,10 +445,11 @@ def engine_run(order, gens):
     return gb.polys, forms, budget.pairs_used, budget.steps_used
 
 
-def eager_buchberger(inputs, packing, budget):
+def eager_buchberger(inputs, packing, budget, max_degree=None):
     """The engine's pair loop with the Gebauer-Moeller update it replaced,
     kept as its reference: every addition re-checks every live pair against
-    the new lead (criterion B_k) and deletes it from a dict of live pairs."""
+    the new lead (criterion B_k) and deletes it from a dict of live pairs.
+    Inputs and pairs above ``max_degree`` are left out, as in the engine."""
     g, shift = packing.guard, packing.shift
     reducers = _Reducers(packing)
     basis = reducers.reducers
@@ -387,6 +483,8 @@ def eager_buchberger(inputs, packing, budget):
         for L, i in minimal:
             ldeg = L >> shift
             sug = max(basis[i].sugar + ldeg - basis[i].deg, h.sugar + ldeg - h.deg)
+            if max_degree is not None and sug > max_degree:
+                continue
             if sug >= packing.limit:
                 raise groebner._Overflow
             pairs[(i, t)] = L
@@ -394,7 +492,7 @@ def eager_buchberger(inputs, packing, budget):
         reducers.append(h)
 
     for f in sorted(inputs, key=groebner._poly_sort_key, reverse=True):
-        if f:
+        if f and (max_degree is None or f[0][1] >> shift <= max_degree):
             add_element(f)
 
     while heap:

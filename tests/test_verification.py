@@ -3,11 +3,14 @@ import itertools
 import random
 import weakref
 from fractions import Fraction
+from importlib import resources
 
+import pytest
 from hypothesis import given, strategies as st
 
 from quivinv import (
     AlgebraElement,
+    ComputeBudget,
     Ideal,
     kernel_generators,
     parse_presentation,
@@ -39,14 +42,72 @@ def test_full_suite_passes_on_a1(a1):
     assert report.passed, [c for c in report.checks if not c.passed]
 
 
-def test_mutated_relation_fails_membership_with_witness(a1):
-    report = run_verification(a1, seed=0, mutate=True)
+def a1_file_at(dims: str, deformed: bool = False):
+    """The bundled A1 file with its [dims] section replaced, relations optionally deformed."""
+    text = resources.files("quivinv").joinpath("data", "a1_preprojective.quiver").read_text("utf-8")
+    text = text.replace("0 = 2\n1 = 2\n", dims)
+    if deformed:
+        text = text.replace("f*c - e*d", "f*c - e*d - triv(0)").replace("c*f", "c*f + triv(1)")
+    return parse_presentation(text)
+
+
+# the normal form a flipped coefficient leaves: a truncated basis that reduced
+# it wrongly would change this text
+MUTATED_WITNESS = {
+    "generator": "x[g1;1,1]",
+    "normal_form": "-2*x[c;1,1]*x[f;1,1] - 2*x[c;2,1]*x[f;1,2]",
+}
+
+
+def assert_only_membership_fails_with_the_pinned_witness(report):
     assert not report.passed
     failing = {c.name: c for c in report.checks if not c.passed}
     assert set(failing) == {"kernel_membership"}
-    witness = failing["kernel_membership"].witness
-    assert witness["generator"].startswith(("x[", "tr["))
-    assert witness["normal_form"] != "0"
+    assert failing["kernel_membership"].witness == MUTATED_WITNESS
+
+
+def test_mutated_relation_fails_membership_with_witness():
+    report = run_verification(a1_file_at("0 = 2\n1 = 2\n"), seed=0, mutate=True)
+    assert_only_membership_fails_with_the_pinned_witness(report)
+
+
+def test_mutated_relation_at_dims_3_2_fails_membership_with_witness():
+    report = run_verification(a1_file_at("0 = 3\n1 = 2\n"), seed=2, mutate=True)
+    assert_only_membership_fails_with_the_pinned_witness(report)
+
+
+def test_rep_ideal_basis_work_at_dims_3_2_is_pinned():
+    # verify's basis of the representation ideal at dims (3,2), complete and
+    # through degree 6, the degree verify reduces at its default bounds
+    ideal = rep_ideal(a1_file_at("0 = 3\n1 = 2\n"))
+    full_budget, bounded_budget = ComputeBudget(), ComputeBudget()
+    full = ideal.groebner_basis(budget=full_budget)
+    bounded = ideal.groebner_basis(budget=bounded_budget, max_degree=6)
+    assert (full_budget.pairs_used, full_budget.steps_used, len(full)) == (1545, 30026, 192)
+    assert (bounded_budget.pairs_used, bounded_budget.steps_used, len(bounded)) == (
+        1047, 12948, 185
+    )
+    assert bounded.polys == tuple(p for p in full.polys if p.total_degree <= 6)
+
+
+@pytest.mark.parametrize(
+    "dims, deformed, max_u, max_w, degree",
+    [
+        # the kernel generators (degree 8) lie above the lift check's degree 6;
+        # every cycle of the A1 quiver has even length, so no bounds give 7
+        ("0 = 1\n1 = 2\n", False, 4, 2, 8),
+        # the deformed relations give an inhomogeneous ideal: the bound is ignored
+        ("0 = 2\n1 = 2\n", True, 1, 1, 6),
+    ],
+    ids=["kernel-degree-8", "deformed"],
+)
+def test_degree_bound_leaves_the_report_unchanged(dims, deformed, max_u, max_w, degree, monkeypatch):
+    pres = a1_file_at(dims, deformed)
+    kernel = kernel_generators(pres, max_u, max_w)
+    assert verification._normal_form_degree(pres, kernel) == degree
+    bounded = run_verification(pres, seed=1, max_u=max_u, max_w=max_w)
+    monkeypatch.setattr(verification, "_normal_form_degree", lambda pres, kernel: None)
+    assert run_verification(pres, seed=1, max_u=max_u, max_w=max_w) == bounded
 
 
 def test_same_seed_same_report(a1):
