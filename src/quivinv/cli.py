@@ -18,7 +18,7 @@ import sys
 from importlib import resources
 from typing import Callable, Optional, Sequence
 
-from .groebner import BudgetExceededError, ComputeBudget, Ideal, ideal_equal
+from .groebner import BudgetExceededError, ComputeBudget, Ideal
 from .invariants import lusztig_generators, rep_ideal
 from .kernel import InvariantPresentation, kernel_generators, present_invariant_ring
 from .polyring import RingError
@@ -76,7 +76,7 @@ def _presentation(ip: InvariantPresentation) -> dict:
              "i": e.i, "j": e.j}
             for var, e in ip.dictionary
         ],
-        "elimination_ideal": [str(p) for p in ip.elimination_ideal.generators],
+        "elimination_ideal": [str(p) for p in ip.elimination_basis.polys],
     }
 
 
@@ -143,13 +143,13 @@ def cmd_kernel(args: argparse.Namespace) -> int:
 
 
 def _compare_against(ip, compare_text: str, budget: Optional[ComputeBudget]) -> bool:
-    ring = ip.fresh_ring
+    ring = ip.elimination_basis.ring
     polys = []
     for line in compare_text.splitlines():
         line = line.split("#", 1)[0].strip()
         if line:
             polys.append(ring.parse(line))
-    return ideal_equal(ip.elimination_ideal, Ideal(ring, polys), budget=budget)
+    return Ideal(ring, polys).groebner_basis(budget=budget).polys == ip.elimination_basis.polys
 
 
 def cmd_present(args: argparse.Namespace) -> int:

@@ -14,7 +14,7 @@ work is metered by a :class:`ComputeBudget` and aborts with
 Everything runs sequentially; the reduced basis is unique per order, so the
 printed result is deterministic by construction.  Nothing is cached: each
 :meth:`Ideal.groebner_basis` call builds a basis that its caller owns, and
-:func:`eliminate` reads an elimination ideal off such a basis.
+:func:`eliminate` reads an elimination ideal's reduced basis off such a basis.
 
 On homogeneous input the sugar of a pair is its degree, so a run that leaves
 out generators and pairs above a degree D (``max_degree``) is exact through D
@@ -378,7 +378,7 @@ def _buchberger(inputs: list[list], packing: _Packing, budget: ComputeBudget, ma
     return _interreduce([r.terms for r in basis], packing, budget)
 
 
-def _interreduce(polys: list[list], packing: _Packing, budget: ComputeBudget) -> list[list]:
+def _interreduce(polys: list[list], packing: _Packing, budget: ComputeBudget) -> _Reducers:
     shift = packing.shift
     polys = [p for p in polys if p]
     polys.sort(key=lambda p: (p[0][0], _poly_sort_key(p)))
@@ -393,7 +393,7 @@ def _interreduce(polys: list[list], packing: _Packing, budget: ComputeBudget) ->
     for idx, r in enumerate(reducers):
         h, _, _ = _normal_form(r.terms, index, budget, skip=1 << idx)
         reducers[idx] = _reducer_of(_primitive(h), shift)
-    return sorted((r.terms for r in reducers), key=lambda p: p[0][0])
+    return index  # in ascending-lead order: the leads are distinct, and each is kept
 
 
 # -- public layer -------------------------------------------------------------
@@ -402,18 +402,18 @@ def _interreduce(polys: list[list], packing: _Packing, budget: ComputeBudget) ->
 class GroebnerBasis:
     """The unique reduced, monic Groebner basis for an ideal and order.
 
-    The basis keeps its engine form, a divisor index over packed term lists,
-    and builds :attr:`polys` when first read.  :meth:`normal_form` repacks
+    The basis keeps the divisor index over packed term lists that the engine
+    built, and builds :attr:`polys` when first read.  :meth:`normal_form` repacks
     the basis, and rebuilds its index, wider when an input needs it.  With
     ``max_degree`` not None the basis holds only the elements up to that
     degree, and :meth:`normal_form` refuses polynomials above it.
     """
 
-    def __init__(self, ring, order: frozenset[int], packing, engine_polys: list, max_degree=None):
+    def __init__(self, ring, order: frozenset[int], reducers: _Reducers, max_degree=None):
         self.ring = ring
         self.order = order
         self.max_degree = max_degree
-        self._reducers = _Reducers(packing, (_reducer_of(p, packing.shift) for p in engine_polys))
+        self._reducers = reducers
 
     def _polynomial(self, terms: list) -> Polynomial:
         unpack, lc = self._reducers.packing.unpack, terms[0][2]
@@ -479,7 +479,7 @@ class Ideal:
 
     def groebner_basis(
         self, order: frozenset[int] = frozenset(), budget: Optional[ComputeBudget] = None,
-        max_degree: Optional[int] = None,
+        *, max_degree: Optional[int] = None,
     ) -> GroebnerBasis:
         """The reduced basis for ``order``: only its elements up to ``max_degree``
         when that is set and every generator is homogeneous, else all of them."""
@@ -500,22 +500,30 @@ class Ideal:
             except _Overflow:  # start over at double width, as if never begun
                 budget.pairs_used, budget.steps_used = spent
                 bits *= 2
-        return GroebnerBasis(self.ring, order, packing, basis, max_degree)
+        return GroebnerBasis(self.ring, order, basis, max_degree)
 
 
-def eliminate(basis: GroebnerBasis) -> Ideal:
-    """The elimination ideal of a basis computed with variables in front.
+def eliminate(basis: GroebnerBasis) -> GroebnerBasis:
+    """The reduced degrevlex basis, on the ring of the remaining variables, of
+    the elimination ideal of a basis computed with variables in front.
 
-    Returns the basis elements free of the front block (``basis.order``), as
-    an ideal of the ring of the remaining variables; the elements are picked by
-    their packed exponents, and only those kept become polynomials.
+    By the elimination theorem (Cox, Little and O'Shea, ch. 3 section 1) it is
+    the elements free of the front block (``basis.order``), repacked by their
+    exponents: the back block's weights are the subring's degrevlex weights, so
+    the leads and their order stay.  No polynomial is built until read.
     """
-    ring, front = basis.ring, basis.order
-    subring = PolynomialRing([v for i, v in enumerate(ring.variables) if i not in front])
-    reducers, packing = basis._reducers.reducers, basis._reducers.packing
-    front_fields = sum(packing.limit - 1 << i * packing.stride for i in front)
-    kept = [r.terms for r in reducers if not any(e & front_fields for _, e, _ in r.terms)]
-    return Ideal(subring, [basis._polynomial(t).to_ring(subring) for t in kept])
+    ring, front, old = basis.ring, basis.order, basis._reducers
+    back = [i for i in range(ring.nvars) if i not in front]
+    subring = PolynomialRing([ring.variables[i] for i in back])
+    packing = _Packing(frozenset(), len(back), old.packing.bits)
+    front_fields = sum(old.packing.limit - 1 << i * old.packing.stride for i in front)
+    reducers = _Reducers(packing)
+    for r in old.reducers:
+        if not any(e & front_fields for _, e, _ in r.terms):
+            exps = ((old.packing.unpack(e), c) for _, e, c in r.terms)
+            terms = [(*packing.pack(tuple(m[i] for i in back)), c) for m, c in exps]
+            reducers.append(_reducer_of(terms, packing.shift))
+    return GroebnerBasis(subring, frozenset(), reducers, basis.max_degree)
 
 
 def ideal_equal(left: Ideal, right: Ideal, budget: Optional[ComputeBudget] = None) -> bool:

@@ -104,15 +104,13 @@ def kernel_generators(
 @dataclass
 class InvariantPresentation:
     """Fresh variables for the chosen generators, the combined defining ideal,
-    its basis with the arrow variables eliminated first, and the elimination
-    ideal expressing all relations among the generators."""
+    its basis with the arrow variables eliminated first, and the reduced basis
+    of the elimination ideal expressing all relations among the generators."""
 
-    combined_ring: PolynomialRing
-    fresh_ring: PolynomialRing
     dictionary: tuple[tuple[Variable, GeneratorEntry], ...]
     defining_ideal: Ideal
     basis: GroebnerBasis
-    elimination_ideal: Ideal
+    elimination_basis: GroebnerBasis
 
 
 def _fresh_variable(entry: GeneratorEntry) -> Variable:
@@ -150,15 +148,7 @@ def present_invariant_ring(
         defining.append(g.to_ring(combined))
     defining_ideal = Ideal(combined, defining)
     basis = defining_ideal.groebner_basis(frozenset(range(arrow_ring.nvars)), budget)
-    elim = eliminate(basis)
-    return InvariantPresentation(
-        combined_ring=combined,
-        fresh_ring=elim.ring,
-        dictionary=tuple(dictionary),
-        defining_ideal=defining_ideal,
-        basis=basis,
-        elimination_ideal=elim,
-    )
+    return InvariantPresentation(tuple(dictionary), defining_ideal, basis, eliminate(basis))
 
 
 def rewrite_in_generators(
@@ -175,10 +165,10 @@ def rewrite_in_generators(
     representation ideal), and raises :class:`NotExpressibleError` otherwise.
     """
     ip = presentation
-    f = f.to_ring(ip.combined_ring)
+    f = f.to_ring(ip.basis.ring)
     nf = ip.basis.normal_form(f, budget)
     try:
-        return nf.to_ring(ip.fresh_ring)
+        return nf.to_ring(ip.elimination_basis.ring)
     except RingError:
         raise NotExpressibleError(
             f"not expressible at this bound: {f} reduces to {nf}"

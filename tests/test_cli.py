@@ -4,7 +4,7 @@ from importlib import resources
 
 import pytest
 
-from quivinv import cli
+from quivinv import Ideal, cli
 from quivinv.cli import main
 
 from conftest import A1_TEXT
@@ -314,3 +314,15 @@ def test_text_output_is_pinned(capsys, command):
     code, out, _ = run(capsys, command, str(DATA.joinpath("a1_preprojective.quiver")), *args)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_present_compare_builds_two_bases(capsys, monkeypatch):
+    # the block-order basis and the reference's: the elimination ideal's
+    # reduced basis is read off the first, not rebuilt for the comparison
+    built, build = [], Ideal.groebner_basis
+    monkeypatch.setattr(
+        Ideal, "groebner_basis", lambda self, *a, **kw: built.append(self) or build(self, *a, **kw)
+    )
+    args = TEXT_PINS["present"][0]
+    assert run(capsys, "present", str(DATA.joinpath("a1_preprojective.quiver")), *args)[0] == 0
+    assert len(built) == 2

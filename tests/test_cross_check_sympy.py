@@ -92,7 +92,7 @@ def test_block_order_elimination_agrees_with_lex(gens):
     lex = sympy.groebner([to_sympy(g) for g in gens], *SYMS, order="lex", field=True)
     free = [from_sympy(e, mine.ring, SYMS[1:]) for e in lex.exprs if SYMS[0] not in e.free_symbols]
     theirs = Ideal(mine.ring, free)
-    assert mine.groebner_basis().polys == theirs.groebner_basis().polys
+    assert mine.polys == theirs.groebner_basis().polys
 
 
 def test_worked_example_basis_agrees_with_reference_system():

@@ -93,9 +93,10 @@ class TestPresentInvariantRing:
     def test_relabeling_when_nothing_is_frozen(self):
         pres = kronecker_with_relation()
         ip = present_invariant_ring(pres, 1)
-        assert [str(v) for v in ip.fresh_ring.variables] == ["c[1,1]", "d[1,1]"]
-        expected = Ideal(ip.fresh_ring, [ip.fresh_ring.parse("c[1,1] - d[1,1]")])
-        assert ideal_equal(ip.elimination_ideal, expected)
+        ring = ip.elimination_basis.ring
+        assert [str(v) for v in ring.variables] == ["c[1,1]", "d[1,1]"]
+        expected = Ideal(ring, [ring.parse("c[1,1] - d[1,1]")])
+        assert ip.elimination_basis.polys == expected.groebner_basis().polys
 
     def test_relabeling_a1_unfrozen(self, a1):
         free = a1.with_frozen([])
@@ -105,59 +106,59 @@ class TestPresentInvariantRing:
         ring = ring_for(free)
         for g in rep_ideal(free).generators:
             rewritten.append(
-                ip.fresh_ring.polynomial(
+                ip.elimination_basis.ring.polynomial(
                     [(m, c) for m, c in g.terms]  # same exponent layout by construction
                 )
             )
-        assert ideal_equal(ip.elimination_ideal, Ideal(ip.fresh_ring, rewritten))
+        expected = Ideal(ip.elimination_basis.ring, rewritten)
+        assert ip.elimination_basis.polys == expected.groebner_basis().polys
 
     def test_empty_quiver_presents_trivially(self):
         q = Quiver(("0",), ())
         v = DimensionVector.of(q, {"0": 3})
         pres = Presentation(q, v, frozenset())
         ip = present_invariant_ring(pres, 1)
-        assert ip.fresh_ring.variables == ()
-        assert ip.elimination_ideal.generators == ()
+        assert ip.elimination_basis.ring.variables == ()
+        assert ip.elimination_basis.polys == ()
 
     def test_trace_generators_get_fresh_variables(self):
         text = "[vertices] 0\n[arrows]\na: 0 -> 0\n[dims]\n0 = 2\n[K] 0\n"
         pres = parse_presentation(text)
         ip = present_invariant_ring(pres, 2)
-        assert [str(v) for v in ip.fresh_ring.variables] == ["tr.a[0,0]", "tr.aa[0,0]"]
+        assert [str(v) for v in ip.elimination_basis.ring.variables] == ["tr.a[0,0]", "tr.aa[0,0]"]
         # the two traces satisfy no relation at this bound
-        assert ip.elimination_ideal.generators == ()
+        assert ip.elimination_basis.polys == ()
         got = rewrite_in_generators(trace_poly(pres, path_from_word(pres.quiver, "a")), ip)
         assert str(got) == "tr.a[0,0]"
 
     def test_selection_order_does_not_matter(self, a1, a1_presented):
         other = present_invariant_ring(a1, 2, select=["fd", "ec", "fc"])
-        assert [str(v) for v in other.fresh_ring.variables] == [
-            str(v) for v in a1_presented.fresh_ring.variables
+        assert [str(v) for v in other.elimination_basis.ring.variables] == [
+            str(v) for v in a1_presented.elimination_basis.ring.variables
         ]
-        assert ideal_equal(other.elimination_ideal, a1_presented.elimination_ideal)
+        assert other.elimination_basis.polys == a1_presented.elimination_basis.polys
 
     def test_defining_relations_pair_fresh_variables_with_generators(self, a1, a1_presented):
         # each defining relation is exactly (fresh variable - generator polynomial)
         ip = a1_presented
         for k, (var, entry) in enumerate(ip.dictionary):
             defining = ip.defining_ideal.generators[k]
-            expected = ip.combined_ring.var(var) - _extend_for_test(
-                entry.polynomial, ip.combined_ring
-            )
+            expected = ip.basis.ring.var(var) - _extend_for_test(entry.polynomial, ip.basis.ring)
             assert defining == expected
 
     def test_elimination_ideal_members_vanish_on_scheme(self, a1, a1_presented):
         ip = a1_presented
         gb = rep_ideal(a1).groebner_basis()
         lookup = {str(v): e.polynomial for v, e in ip.dictionary}
-        for g in ip.elimination_ideal.generators:
+        fresh = ip.elimination_basis.ring
+        for g in ip.elimination_basis.polys:
             value = None
             acc = ring_for(a1).zero
             for m, c in g.terms:
                 term = ring_for(a1).constant(c)
                 for idx, exp in enumerate(m):
                     if exp:
-                        term = term * lookup[str(ip.fresh_ring.variables[idx])] ** exp
+                        term = term * lookup[str(fresh.variables[idx])] ** exp
                 acc = acc + term
             assert gb.reduces_to_zero(acc), str(g)
 
@@ -173,7 +174,7 @@ class TestRewrite:
     def test_trace_of_ec_in_dictionary(self, a1, a1_presented):
         ec = path_from_word(a1.quiver, "ec")
         got = rewrite_in_generators(trace_poly(a1, ec), a1_presented)
-        assert got == a1_presented.fresh_ring.parse("ec[1,1] + ec[2,2]")
+        assert got == a1_presented.elimination_basis.ring.parse("ec[1,1] + ec[2,2]")
 
     def test_bare_arrow_variable_not_expressible(self, a1, a1_presented):
         x = ring_for(a1).parse("x[c;1,1]")
@@ -191,14 +192,14 @@ class TestRewrite:
         got = rewrite_in_generators(
             trace_poly(a1, path_from_word(a1.quiver, "fc")), a1_presented, budget
         )
-        assert got == a1_presented.fresh_ring.parse("fc[1,1] + fc[2,2]")
+        assert got == a1_presented.elimination_basis.ring.parse("fc[1,1] + fc[2,2]")
         assert budget.pairs_used == 0
         assert budget.steps_used > 0
 
     def test_defining_generator_rewrites_into_elimination_ideal(self, a1, a1_presented):
         g1 = a1.relation("g1").element
         got = rewrite_in_generators(contraction_poly(a1, g1, 1, 1), a1_presented)
-        assert a1_presented.elimination_ideal.groebner_basis().reduces_to_zero(got)
+        assert a1_presented.elimination_basis.reduces_to_zero(got)
 
 
 def test_engine_work_on_the_a1_file_at_dims_2_1_is_pinned():
@@ -210,14 +211,14 @@ def test_engine_work_on_the_a1_file_at_dims_2_1_is_pinned():
     budget = ComputeBudget()
     ip = present_invariant_ring(pres, 2, budget=budget)
     assert (budget.pairs_used, budget.steps_used) == (1639, 3850)
-    assert len(ip.elimination_ideal.generators) == 37
+    assert len(ip.elimination_basis) == 37
 
 
 def test_engine_work_on_the_worked_example_is_pinned(a1_presented, a1_presented_budget):
     # the block-order elimination behind the worked example (ec, fc, fd at
     # dims (2,2)) does a fixed amount of work, like the dims (2,1) case above
     assert (a1_presented_budget.pairs_used, a1_presented_budget.steps_used) == (4568, 70156)
-    assert len(a1_presented.elimination_ideal.generators) == 23
+    assert len(a1_presented.elimination_basis) == 23
 
 
 def test_engine_work_with_many_queued_pairs_is_pinned():

@@ -59,7 +59,7 @@ class TestLoopWithLegs:
         presented = loop_presented
         kinds = [e.kind for _, e in presented.dictionary]
         assert kinds == ["trace", "trace", "contraction", "contraction", "contraction"]
-        assert [str(v) for v in presented.fresh_ring.variables] == [
+        assert [str(v) for v in presented.elimination_basis.ring.variables] == [
             "tr.l[0,0]", "tr.ll[0,0]", "ec[1,1]", "elc[1,1]", "ellc[1,1]",
         ]
 
@@ -67,16 +67,16 @@ class TestLoopWithLegs:
         # for a 2x2 matrix L: L^2 = tr(L) L - det(L) I with
         # det(L) = (tr(L)^2 - tr(L^2))/2, so contracting e ... c gives
         # e L L c - tr(L) e L c + det(L) e c = 0 identically
-        ring = loop_presented.fresh_ring
+        ring = loop_presented.elimination_basis.ring
         identity = ring.parse(
             "ellc[1,1] - tr.l[0,0]*elc[1,1]"
             " + 1/2 tr.l[0,0]^2 ec[1,1] - 1/2 tr.ll[0,0]*ec[1,1]"
         )
-        assert loop_presented.elimination_ideal.groebner_basis().reduces_to_zero(identity)
+        assert loop_presented.elimination_basis.reduces_to_zero(identity)
 
     def test_generators_satisfy_no_linear_relation(self, loop_presented):
-        ring = loop_presented.fresh_ring
-        gb = loop_presented.elimination_ideal.groebner_basis()
+        ring = loop_presented.elimination_basis.ring
+        gb = loop_presented.elimination_basis
         assert not gb.reduces_to_zero(ring.parse("ec[1,1]"))
         assert not gb.reduces_to_zero(ring.parse("tr.l[0,0]"))
 
@@ -103,15 +103,15 @@ class TestNilpotentJordan:
     def test_trace_of_square_vanishes_on_the_scheme(self, nilpotent_presented):
         # tr(a^2) is the sum of two defining generators, so its fresh name
         # must land in the elimination ideal
-        ring = nilpotent_presented.fresh_ring
-        gb = nilpotent_presented.elimination_ideal.groebner_basis()
+        ring = nilpotent_presented.elimination_basis.ring
+        gb = nilpotent_presented.elimination_basis
         assert gb.reduces_to_zero(ring.parse("tr.aa[0,0]"))
 
     def test_trace_itself_does_not(self, nilpotent_presented):
         # the defining ideal is generated in degree two, so no linear
         # polynomial in the traces can restrict to zero
-        ring = nilpotent_presented.fresh_ring
-        gb = nilpotent_presented.elimination_ideal.groebner_basis()
+        ring = nilpotent_presented.elimination_basis.ring
+        gb = nilpotent_presented.elimination_basis
         assert not gb.reduces_to_zero(ring.parse("tr.a[0,0]"))
 
 
@@ -139,7 +139,7 @@ class TestReferenceTranscriptionCrossCheck:
         text = (
             resources.files("quivinv").joinpath("data/paper13.txt").read_text("utf-8")
         )
-        ring = ring_for(a1)
+        ring, fresh = ring_for(a1), ip.elimination_basis.ring
         gb = rep_ideal(a1).groebner_basis()
         lookup = {str(v): e.polynomial for v, e in ip.dictionary}
         lines = [
@@ -149,12 +149,12 @@ class TestReferenceTranscriptionCrossCheck:
         ]
         assert len(lines) == 13
         for line in lines:
-            reference = ip.fresh_ring.parse(line)
+            reference = fresh.parse(line)
             substituted = ring.zero
             for m, coeff in reference.terms:
                 term = ring.constant(coeff)
                 for idx, exp in enumerate(m):
                     if exp:
-                        term = term * lookup[str(ip.fresh_ring.variables[idx])] ** exp
+                        term = term * lookup[str(fresh.variables[idx])] ** exp
                 substituted = substituted + term
             assert gb.reduces_to_zero(substituted), line
