@@ -174,11 +174,15 @@ def invariant_functions(
     pres: Presentation, g: Source, word: str
 ) -> list[tuple[str, str, int, int, Polynomial]]:
     """The nonzero generators of a path or algebra element, as
-    ``(label, kind, i, j, polynomial)``: the trace ``tr[word]`` when g is a
-    cycle at a frozen vertex, else the row-major entries ``x[word;i,j]``."""
-    if g.head == g.tail and g.head in pres.frozen_vertices:
+    ``(label, kind, i, j, polynomial)``: the trace ``tr[word]`` of a cycle at a
+    frozen vertex, the row-major entries ``x[word;i,j]`` when neither end is
+    frozen, and none when an end is frozen otherwise."""
+    K = pres.frozen_vertices
+    if g.head == g.tail and g.head in K:
         poly = trace_poly(pres, g)
         return [] if poly.is_zero else [(f"tr[{word}]", "trace", 0, 0, poly)]
+    if g.head in K or g.tail in K:
+        return []
     return [
         (f"x[{word};{i},{j}]", "contraction", i, j, poly)
         for i, row in enumerate(element_matrix(pres, g), 1)

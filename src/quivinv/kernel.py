@@ -87,8 +87,6 @@ def kernel_generators(
                     if dedup in seen_traces:
                         continue
                     seen_traces.add(dedup)
-                elif u.head in K or w.tail in K:  # one end frozen: no generator
-                    continue
                 out.extend(
                     KernelGenerator(label, kind, u, rel.name, w, i, j, poly)
                     for label, kind, i, j, poly in invariant_functions(

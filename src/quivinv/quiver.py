@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -49,18 +49,11 @@ class Quiver:
                 raise QuiverError(f"arrow {a.name}: undeclared endpoint {a.tail}->{a.head}")
 
     @cached_property
-    def _arrow_by_name(self) -> dict[str, Arrow]:
-        return {a.name: a for a in self.arrows}
-
-    @cached_property
     def _arrow_index(self) -> dict[str, int]:
         return {a.name: k for k, a in enumerate(self.arrows)}
 
     def arrow(self, name: str) -> Arrow:
-        try:
-            return self._arrow_by_name[name]
-        except KeyError:
-            raise QuiverError(f"unknown arrow {name!r}") from None
+        return self.arrows[self.arrow_index(name)]
 
     def arrow_index(self, name: str) -> int:
         """Declaration index of an arrow; fixes all deterministic orderings."""
@@ -184,7 +177,7 @@ def read_terms(quiver: Quiver, text: str) -> list[tuple[Path, Fraction]]:
         terms = signed_products(text, _FACTOR)
     except ValueError as exc:
         raise QuiverError(f"relation: {exc}") from None
-    arrows = quiver._arrow_by_name
+    arrows = quiver._arrow_index
     out: list[tuple[Path, Fraction]] = []
     for sign, factors in terms:
         coeff = Fraction(sign)
@@ -302,10 +295,6 @@ def algebra_element(
     return AlgebraElement(head, tail, tuple(kept))
 
 
-def element_of_path(p: Path) -> AlgebraElement:
-    return AlgebraElement(p.head, p.tail, ((p, Fraction(1)),))
-
-
 def sandwich(quiver: Quiver, u: Path, g: AlgebraElement, w: Path) -> AlgebraElement:
     """The element u*g*w (apply w first, then g, then u)."""
     if u.tail != g.head or w.head != g.tail:
@@ -354,7 +343,7 @@ class Presentation:
         return frozenset(self.quiver.vertices) - self.frozen_vertices
 
     def with_frozen(self, frozen: Iterable[str]) -> "Presentation":
-        return Presentation(self.quiver, self.dims, frozenset(frozen), self.relations)
+        return replace(self, frozen_vertices=frozenset(frozen))
 
     def relation(self, name: str) -> Relation:
         for r in self.relations:

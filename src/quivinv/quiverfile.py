@@ -98,6 +98,15 @@ def _parse_relation_element(quiver: Quiver, expr: str, lineno: int) -> AlgebraEl
     return algebra_element(quiver, heads.pop(), tails.pop(), terms)
 
 
+def _whole_file(build, *args):
+    """``build(*args)``, a model error reported at line 0: it concerns the file
+    as a whole, not one line of it."""
+    try:
+        return build(*args)
+    except QuiverError as exc:
+        raise QuiverFileError(str(exc), 0) from None
+
+
 def parse_presentation(text: str) -> Presentation:
     """Parse a quiver file into a validated presentation."""
     sections = _split_sections(text)
@@ -122,10 +131,7 @@ def parse_presentation(text: str) -> Presentation:
         if m.group("tail") not in vertices or m.group("head") not in vertices:
             raise QuiverFileError(f"unknown vertex in arrow {name}", lineno)
         arrows.append(Arrow(name, m.group("tail"), m.group("head")))
-    try:
-        quiver = Quiver(tuple(vertices), tuple(arrows))
-    except QuiverError as exc:
-        raise QuiverFileError(str(exc), 0) from None
+    quiver = _whole_file(Quiver, tuple(vertices), tuple(arrows))
 
     dims: dict[str, int] = {}
     for lineno, line in sections["dims"]:
@@ -141,10 +147,7 @@ def parse_presentation(text: str) -> Presentation:
             dims[v] = int(m.group("dim"))
         except ValueError as exc:
             raise QuiverFileError(f"dimension: {exc}", lineno) from None
-    try:
-        dimvec = DimensionVector.of(quiver, dims)
-    except QuiverError as exc:
-        raise QuiverFileError(str(exc), 0) from None
+    dimvec = _whole_file(DimensionVector.of, quiver, dims)
 
     frozen: list[str] = []
     for lineno, line in sections.get("K", []):
@@ -166,10 +169,7 @@ def parse_presentation(text: str) -> Presentation:
             raise QuiverFileError(f"relation {name} is zero", lineno)
         relations.append(Relation(name, element))
 
-    try:
-        return Presentation(quiver, dimvec, frozenset(frozen), tuple(relations))
-    except QuiverError as exc:
-        raise QuiverFileError(str(exc), 0) from None
+    return _whole_file(Presentation, quiver, dimvec, frozenset(frozen), tuple(relations))
 
 
 def read_text(path) -> str:

@@ -11,7 +11,7 @@ in the seed and is surfaced through the CLI ``verify`` subcommand.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import add
 from typing import Optional
 
@@ -45,7 +45,6 @@ from .quiver import (
     Relation,
     algebra_element,
     compose,
-    element_of_path,
     enumerate_paths,
     rotations,
     sandwich,
@@ -62,10 +61,7 @@ def _mutated(pres: Presentation) -> Presentation:
     element = algebra_element(
         pres.quiver, rel.element.head, rel.element.tail, [(p0, -c0)] + rest
     )
-    mutated = Relation(rel.name, element)
-    return Presentation(
-        pres.quiver, pres.dims, pres.frozen_vertices, (mutated,) + pres.relations[1:]
-    )
+    return replace(pres, relations=(Relation(rel.name, element), *pres.relations[1:]))
 
 
 def _path_pool(pres: Presentation, max_len: int):
@@ -201,9 +197,7 @@ def _lift_independence(
         if not candidates:
             continue
         base = rng.choice(candidates)
-        shifted = algebra_element(
-            q, ugw.head, ugw.tail, list(element_of_path(base).terms) + list(ugw.terms)
-        )
+        shifted = algebra_element(q, ugw.head, ugw.tail, [(base, 1), *ugw.terms])
         for lhs_row, rhs_row in zip(element_matrix(pres, shifted), element_matrix(pres, base)):
             for lhs, rhs in zip(lhs_row, rhs_row):
                 if gb.normal_form(lhs, budget) != gb.normal_form(rhs, budget):

@@ -140,6 +140,15 @@ class TestKernel:
 
 
 class TestExampleA1:
+    def test_worked_example_passes_and_is_pinned(self, capsys):
+        code, out, _ = run(capsys, "example-a1")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["compare_with_reference"] is True
+        assert payload["verification"]["pass"] is True
+        digest = "dd1e069e2e2a8128ea33cc7ec10f8cf5888ffc705d493e59df178800050a3675"
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_format_is_not_an_option(self, fmt):
         # example-a1 always prints JSON

@@ -6,6 +6,7 @@ from hypothesis import assume, given, strategies as st
 
 from quivinv import (
     PolynomialRing,
+    QuiverError,
     RingError,
     act,
     check_invariance,
@@ -226,6 +227,11 @@ class TestInvariance:
     def test_no_entries_means_no_trials(self, a1):
         result = check_invariance([], a1, 20, seed=0)
         assert (result.passed, result.trials) == (True, 0)
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_fewer_than_one_trial_rejected(self, a1, trials):
+        with pytest.raises(QuiverError, match="^trials must be >= 1$"):
+            check_invariance([("1", ring_for(a1).one)], a1, trials, seed=0)
 
     def test_constant_is_invariant(self, a1):
         f = ring_for(a1).constant(Fraction(5, 3))

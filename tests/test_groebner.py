@@ -125,6 +125,19 @@ class TestNormalForm:
         assert gb.normal_form(f + g) == gb.normal_form(f) + gb.normal_form(g)
 
 
+class TestOtherRings:
+    OTHER = PolynomialRing([fresh_var("x", 1, 1)])
+
+    def test_normal_form_rejects_a_polynomial_from_another_ring(self):
+        gb = Ideal(R, [X]).groebner_basis()
+        with pytest.raises(RingError, match="^ring mismatch$"):
+            gb.normal_form(self.OTHER.var(0))
+
+    def test_ideal_rejects_a_generator_from_another_ring(self):
+        with pytest.raises(RingError, match="^generator from a different ring$"):
+            Ideal(R, [X, self.OTHER.var(0)])
+
+
 class TestEliminate:
     def test_parabola(self):
         # t parametrizes (x, y) = (t, t^2)

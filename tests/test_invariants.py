@@ -29,7 +29,7 @@ from quivinv import (
     trace_poly,
     trivial_path,
 )
-from quivinv.invariants import element_matrix, path_matrix
+from quivinv.invariants import element_matrix, invariant_functions, path_matrix
 
 # the eight defining polynomials of the representation scheme, transcribed
 REP_IDEAL_8 = [
@@ -211,6 +211,28 @@ class TestLusztigGenerators:
             lusztig_generators(pres, 2)
 
 
+class TestInvariantFunctions:
+    def test_a_path_with_one_frozen_end_gives_nothing(self, a1):
+        # c runs from 0 into K = {1}: the group moves its head only
+        assert invariant_functions(a1, path_from_word(a1.quiver, "c"), "c") == []
+
+    def test_a_path_between_two_frozen_vertices_gives_nothing(self, a1):
+        both = a1.with_frozen(["0", "1"])
+        assert invariant_functions(both, path_from_word(a1.quiver, "c"), "c") == []
+
+    def test_a_cycle_at_an_unfrozen_vertex_gives_its_entries(self, a1):
+        ec = path_from_word(a1.quiver, "ec")
+        assert invariant_functions(a1, ec, "ec") == [
+            (f"x[ec;{i},{j}]", "contraction", i, j, contraction_poly(a1, ec, i, j))
+            for i in (1, 2)
+            for j in (1, 2)
+        ]
+
+    def test_a_cycle_at_a_frozen_vertex_gives_its_trace(self, a1):
+        ce = path_from_word(a1.quiver, "ce")
+        assert invariant_functions(a1, ce, "ce") == [("tr[ce]", "trace", 0, 0, trace_poly(a1, ce))]
+
+
 class TestRepIdeal:
     def test_a1_matches_displayed_generators(self, a1):
         ring = ring_for(a1)
@@ -312,6 +334,19 @@ class TestFramedCorrespondence:
     def test_wrong_crossing_direction_rejected(self, a1):
         with pytest.raises(QuiverError):
             framed_correspondence(a1, "e", trivial_path("1"), "c", 1, 1)
+
+    @pytest.mark.parametrize(
+        "b, mid, c, i, j, message",
+        [
+            ("c", "triv(1)", "c", 1, 1, "arrow c does not cross out of the frozen set"),
+            ("c", "ce", "e", 1, 1, "mid path leaves the frozen set at e"),
+            ("c", "triv(1)", "e", 3, 1, "framed indices out of range"),
+            ("c", "triv(1)", "e", 1, 0, "framed indices out of range"),
+        ],
+    )
+    def test_bad_framing_data_rejected(self, a1, b, mid, c, i, j, message):
+        with pytest.raises(QuiverError, match=rf"^{message}$"):
+            framed_correspondence(a1, b, path_from_word(a1.quiver, mid), c, i, j)
 
 
 # -- the symbolic layer against a plain fold of variable matrices -------------

@@ -131,6 +131,14 @@ class TestPresentInvariantRing:
         got = rewrite_in_generators(trace_poly(pres, path_from_word(pres.quiver, "a")), ip)
         assert str(got) == "tr.a[0,0]"
 
+    def test_fresh_variable_collision_rejected(self):
+        # the word aa*bb and the arrow "aa.bb" both name the fresh variable aa.bb
+        loops = tuple(Arrow(name, "0", "0") for name in ("aa", "bb", "aa.bb"))
+        q = Quiver(("0",), loops)
+        pres = Presentation(q, DimensionVector.of(q, {"0": 1}), frozenset())
+        with pytest.raises(QuiverError, match="^fresh variable labels collide; rename arrows$"):
+            present_invariant_ring(pres, 2)
+
     def test_selection_order_does_not_matter(self, a1, a1_presented):
         other = present_invariant_ring(a1, 2, select=["fd", "ec", "fc"])
         assert [str(v) for v in other.elimination_basis.ring.variables] == [

@@ -12,6 +12,7 @@ from quivinv import (
     fresh_var,
 )
 from quivinv.groebner import _Packing
+from quivinv.polyring import Variable
 
 from conftest import mutate
 
@@ -155,6 +156,19 @@ class TestArithmetic:
     def test_polynomial_coefficient_must_be_int_or_fraction(self, c):
         with pytest.raises(RingError, match="not an int or Fraction"):
             RING.polynomial([((1, 0, 0, 0), c)])
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: RING.var(0) ** -1, "negative power"),
+            (lambda: RING.polynomial([((1, 0, 0), 1)]), "monomial has wrong number of variables"),
+            (lambda: PolynomialRing([fresh_var("x", 1, 1)] * 2), "duplicate variables in ring"),
+            (lambda: Variable("matrix", "x", 1, 1), "unknown variable kind 'matrix'"),
+        ],
+    )
+    def test_malformed_data_rejected(self, build, message):
+        with pytest.raises(RingError, match=f"^{message}$"):
+            build()
 
     def test_terms_sorted_descending_in_ambient_order(self):
         x, y = RING.var(0), RING.var(1)

@@ -57,6 +57,28 @@ class TestQuiverValidation:
             Presentation(q, v, frozenset())
 
 
+class TestPresentationValidation:
+    @pytest.mark.parametrize(
+        "frozen, relations, message",
+        [
+            (frozenset({"0", "7"}), ("g1",), r"^frozen vertices not in quiver: \['7'\]$"),
+            (frozenset({"1"}), ("g1", "g1"), "^duplicate relation names$"),
+        ],
+    )
+    def test_bad_presentation_rejected(self, a1, frozen, relations, message):
+        rels = tuple(a1.relation(name) for name in relations)
+        with pytest.raises(QuiverError, match=message):
+            Presentation(a1.quiver, a1.dims, frozen, rels)
+
+    def test_with_frozen_keeps_the_rest_and_validates(self, a1):
+        free = a1.with_frozen([])
+        assert free.frozen_vertices == frozenset()
+        assert (free.quiver, free.dims, free.relations) == (a1.quiver, a1.dims, a1.relations)
+        assert free.derived is not a1.derived
+        with pytest.raises(QuiverError, match="frozen vertices not in quiver"):
+            a1.with_frozen(["7"])
+
+
 class TestCompose:
     def test_fc_runs_zero_to_zero(self, a1):
         f = path_from_word(a1.quiver, "f")

@@ -123,6 +123,23 @@ class TestErrors:
         with pytest.raises(QuiverFileError, match="missing dimensions"):
             parse_presentation(BASE.replace("1 = 2\n", ""))
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            (BASE.replace("0 = 2", "0 = 2\n0 = 3"), 10, "duplicate dimension for vertex '0'"),
+            (with_relations("g f*c"), 13, "expected 'name = expression'"),
+            (with_relations("g = fc - fc"), 13, "relation g is zero"),
+            (BASE.replace("[vertices] 0 1", "[vertices]"), 0, "no vertices declared"),
+            # the model's own checks concern the whole file
+            (BASE.replace("[vertices] 0 1", "[vertices] 0 1 0"), 0, "duplicate vertex identifiers"),
+            (with_relations("g = fc", "g = ed"), 0, "duplicate relation names"),
+        ],
+    )
+    def test_error_names_its_line(self, text, line, message):
+        with pytest.raises(QuiverFileError, match=rf"^line {line}: {message}$") as err:
+            parse_presentation(text)
+        assert err.value.line == line
+
 
 class TestCoefficientsAndTrivialTerms:
     def test_rational_coefficients(self):
