@@ -113,33 +113,23 @@ def _verify_lines(payload: dict) -> list[str]:
     return lines
 
 
+def _emit_listing(args: argparse.Namespace, pres: Presentation, entries, **bounds) -> int:
+    payload = {"command": args.subcommand, "K": sorted(pres.frozen_vertices), **bounds,
+               "count": len(entries), "generators": _records(entries)}
+    _emit(args, payload, _generator_lines)
+    return EXIT_OK
+
+
 def cmd_generators(args: argparse.Namespace) -> int:
     pres = _load(args)
     gens = lusztig_generators(pres, args.max_len, _selection(args))
-    payload = {
-        "command": "generators",
-        "K": sorted(pres.frozen_vertices),
-        "max_len": args.max_len,
-        "count": len(gens),
-        "generators": _records(gens),
-    }
-    _emit(args, payload, _generator_lines)
-    return EXIT_OK
+    return _emit_listing(args, pres, gens, max_len=args.max_len)
 
 
 def cmd_kernel(args: argparse.Namespace) -> int:
     pres = _load(args)
     kernel = kernel_generators(pres, args.max_u, args.max_w)
-    payload = {
-        "command": "kernel",
-        "K": sorted(pres.frozen_vertices),
-        "max_u": args.max_u,
-        "max_w": args.max_w,
-        "count": len(kernel),
-        "generators": _records(kernel),
-    }
-    _emit(args, payload, _generator_lines)
-    return EXIT_OK
+    return _emit_listing(args, pres, kernel, max_u=args.max_u, max_w=args.max_w)
 
 
 def _compare_against(ip, compare_text: str, budget: Optional[ComputeBudget]) -> bool:

@@ -71,16 +71,15 @@ def mat_inverse(a: Matrix) -> Matrix:
     return tuple(tuple(row) for row in inv)
 
 
+def _random_matrix(rng: random.Random, rows: int, cols: int) -> Matrix:
+    return tuple(tuple(rng.randint(-5, 5) for _ in range(cols)) for _ in range(rows))
+
+
 def random_rep(pres: Presentation, seed: int) -> RepPoint:
     """Deterministic point with integer entries in [-5, 5]."""
     rng = random.Random(seed)
     v = pres.dims
-    return {
-        a.name: tuple(
-            tuple(rng.randint(-5, 5) for _ in range(v[a.tail])) for _ in range(v[a.head])
-        )
-        for a in pres.quiver.arrows
-    }
+    return {a.name: _random_matrix(rng, v[a.head], v[a.tail]) for a in pres.quiver.arrows}
 
 
 def random_group(pres: Presentation, seed: int) -> GroupElement:
@@ -93,7 +92,7 @@ def random_group(pres: Presentation, seed: int) -> GroupElement:
             continue
         n = v[vertex]
         while vertex not in factors:
-            g = tuple(tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(n))
+            g = _random_matrix(rng, n, n)
             try:
                 factors[vertex] = (g, mat_inverse(g))
             except SingularMatrixError:

@@ -415,13 +415,13 @@ class GroebnerBasis:
         self.max_degree = max_degree
         self._reducers = reducers
 
-    def _polynomial(self, terms: list) -> Polynomial:
-        unpack, lc = self._reducers.packing.unpack, terms[0][2]
-        return self.ring.polynomial([(unpack(e), Fraction(c, lc)) for _, e, c in terms])
+    def _polynomial(self, terms: list, denom: int) -> Polynomial:
+        unpack = self._reducers.packing.unpack
+        return self.ring.polynomial([(unpack(e), Fraction(c, denom)) for _, e, c in terms])
 
     @cached_property
     def polys(self) -> tuple[Polynomial, ...]:
-        return tuple(self._polynomial(r.terms) for r in self._reducers.reducers)
+        return tuple(self._polynomial(r.terms, r.terms[0][2]) for r in self._reducers.reducers)
 
     def __len__(self) -> int:
         return len(self._reducers.reducers)
@@ -451,8 +451,7 @@ class GroebnerBasis:
                     for r in self._reducers.reducers
                 )
                 self._reducers = _Reducers(wider, (_reducer_of(p, wider.shift) for p in repacked))
-        denom *= alpha
-        return self.ring.polynomial([(packing.unpack(m), Fraction(c, denom)) for _, m, c in h])
+        return self._polynomial(h, denom * alpha)
 
     def reduces_to_zero(self, f: Polynomial, budget: Optional[ComputeBudget] = None) -> bool:
         """Ideal membership: whether f has normal form zero."""

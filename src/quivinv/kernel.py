@@ -137,16 +137,12 @@ def present_invariant_ring(
     if len(set(fresh_vars)) != len(fresh_vars):
         raise QuiverError("fresh variable labels collide; rename arrows")
     combined = PolynomialRing(arrow_ring.variables + tuple(fresh_vars))
-    defining: list[Polynomial] = []
-    dictionary: list[tuple[Variable, GeneratorEntry]] = []
-    for var, entry in zip(fresh_vars, gens.entries):
-        defining.append(combined.var(var) - entry.polynomial.to_ring(combined))
-        dictionary.append((var, entry))
-    for g in rep_ideal(pres).generators:
-        defining.append(g.to_ring(combined))
+    dictionary = tuple(zip(fresh_vars, gens.entries))
+    defining = [combined.var(var) - e.polynomial.to_ring(combined) for var, e in dictionary]
+    defining += [g.to_ring(combined) for g in rep_ideal(pres).generators]
     defining_ideal = Ideal(combined, defining)
     basis = defining_ideal.groebner_basis(frozenset(range(arrow_ring.nvars)), budget)
-    return InvariantPresentation(tuple(dictionary), defining_ideal, basis, eliminate(basis))
+    return InvariantPresentation(dictionary, defining_ideal, basis, eliminate(basis))
 
 
 def rewrite_in_generators(

@@ -322,8 +322,9 @@ class Polynomial:
             and self.terms == other.terms
         )
 
-    def __hash__(self) -> int:
-        return hash((self.ring, self.terms))
+    def __hash__(self) -> int:  # zero and the constants hash as the scalar they equal
+        m, c = self.terms[0] if self.terms else ((), 0)  # the lead has the highest degree
+        return hash((self.ring, self.terms)) if any(m) else hash(c)
 
     # -- printing -------------------------------------------------------------
 

@@ -40,6 +40,7 @@ from .kernel import kernel_generators
 from .polyring import Polynomial
 from .quiver import (
     Arrow,
+    Path,
     Presentation,
     Quiver,
     Relation,
@@ -64,17 +65,12 @@ def _mutated(pres: Presentation) -> Presentation:
     return replace(pres, relations=(Relation(rel.name, element), *pres.relations[1:]))
 
 
-def _path_pool(pres: Presentation, max_len: int):
-    q = pres.quiver
-    return enumerate_paths(q, q.vertices, q.vertices, max_len)
-
-
-def _product_law(pres: Presentation, rng: random.Random, trials: int):
+def _product_law(pres: Presentation, pool: list[Path], rng: random.Random, trials: int):
     """Contraction of a composite equals the matrix-product sum of contractions;
     a draw with no continuation is not a trial, and at most ``4 * trials`` are made.
     The right side is summed in a plain {exponents: coefficient} dict, not by ring.polynomial."""
     v = pres.dims
-    pool = _path_pool(pres, 3)
+    pool = [p for p in pool if len(p) <= 3]
     for _ in range(4 * trials if pool else 0):
         p = rng.choice(pool)
         continuations = [qq for qq in pool if qq.tail == p.head]
@@ -97,8 +93,8 @@ def _product_law(pres: Presentation, rng: random.Random, trials: int):
         yield None
 
 
-def _trace_rotation(pres: Presentation, rng: random.Random):
-    cycles = [p for p in _path_pool(pres, 4) if p.is_cycle]
+def _trace_rotation(pres: Presentation, pool: list[Path], rng: random.Random):
+    cycles = [p for p in pool if p.is_cycle]
     while cycles:
         gamma = rng.choice(cycles)
         base = trace_poly(pres, gamma)
@@ -108,10 +104,9 @@ def _trace_rotation(pres: Presentation, rng: random.Random):
         yield None
 
 
-def _evaluation_oracle(pres: Presentation, rng: random.Random):
+def _evaluation_oracle(pres: Presentation, pool: list[Path], rng: random.Random):
     """Symbolic-then-evaluate equals multiply-matrices-then-read."""
     v = pres.dims
-    pool = _path_pool(pres, 4)
     while pool:
         p = rng.choice(pool)
         point = random_rep(pres, rng.randrange(2**31))
@@ -139,7 +134,7 @@ def _in_variable_ideal(poly: Polynomial, variables: list[int]) -> bool:
     return all(any(m[x] for x in variables) for m, _ in poly.terms)
 
 
-def _traversal(pres: Presentation, rng: random.Random):
+def _traversal(pres: Presentation, pool: list[Path], rng: random.Random):
     """A contraction lies in an arrow's entry ideal iff the path uses the arrow.
 
     A zero contraction, from a path through a zero-dimensional vertex, lies in
@@ -147,7 +142,6 @@ def _traversal(pres: Presentation, rng: random.Random):
     """
     variables = ring_for(pres).variables
     v = pres.dims
-    pool = _path_pool(pres, 4)
     arrows = pres.quiver.arrows
     while pool and arrows:
         p = rng.choice(pool)
@@ -175,6 +169,7 @@ def _normal_form_degree(pres: Presentation, kernel) -> int:
 
 def _lift_independence(
     pres: Presentation,
+    pool: list[Path],
     rng: random.Random,
     trials: int,
     gb: GroebnerBasis,
@@ -184,7 +179,7 @@ def _lift_independence(
     the representation ideal's basis ``gb``; a draw with no base path of the
     sandwich's shape is not a trial, and at most ``6 * trials`` are made."""
     q = pres.quiver
-    pool = _path_pool(pres, _LIFT_POOL_LEN)
+    pool = [p for p in pool if len(p) <= _LIFT_POOL_LEN]
     for _ in range(6 * trials if pres.relations else 0):
         rel = pres.relations[rng.randrange(len(pres.relations))]
         g = rel.element
@@ -297,10 +292,12 @@ def run_verification(
     )
     rng = random.Random(seed)
     gen_pres = _mutated(pres) if mutate else pres
+    q = pres.quiver
+    pool = enumerate_paths(q, q.vertices, q.vertices, 4)  # by length, so a prefix per bound
     checks = report.checks
-    checks.append(CheckResult.of("product_law", _product_law(pres, rng, 50), 50))
-    checks.append(CheckResult.of("trace_rotation", _trace_rotation(pres, rng), 50))
-    checks.append(CheckResult.of("evaluation_oracle", _evaluation_oracle(pres, rng), 30))
+    checks.append(CheckResult.of("product_law", _product_law(pres, pool, rng, 50), 50))
+    checks.append(CheckResult.of("trace_rotation", _trace_rotation(pres, pool, rng), 50))
+    checks.append(CheckResult.of("evaluation_oracle", _evaluation_oracle(pres, pool, rng), 30))
     lusztig = lusztig_generators(pres, max_len) if max_len >= 1 else []
     entries = [(e.label, e.polynomial) for e in lusztig]
     checks.append(check_invariance(entries, pres, 20, rng.randrange(2**31), "lusztig_invariance"))
@@ -310,8 +307,8 @@ def run_verification(
     degree = _normal_form_degree(pres, kernel)
     gb = rep_ideal(pres).groebner_basis(budget=budget, max_degree=degree)
     checks.append(CheckResult.of("kernel_membership", _kernel_membership(gb, kernel, budget)))
-    checks.append(CheckResult.of("traversal", _traversal(pres, rng), 30))
-    lift = _lift_independence(pres, rng, 30, gb, budget)
+    checks.append(CheckResult.of("traversal", _traversal(pres, pool, rng), 30))
+    lift = _lift_independence(pres, pool, rng, 30, gb, budget)
     checks.append(CheckResult.of("lift_independence", lift, 30))
     checks.append(CheckResult.of("framed_correspondence", _framed_correspondence(pres, rng)))
     checks.append(CheckResult.of("path_count_oracle", _path_count_oracle(rng), 5))

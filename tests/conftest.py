@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from quivinv import ComputeBudget, parse_presentation, present_invariant_ring
@@ -28,6 +30,11 @@ def mutate(text, edit_list):
         elif pos < len(text):
             text = text[:pos] + ("" if kind == "delete" else char) + text[pos + 1 :]
     return text
+
+
+def monic(p):
+    """p scaled so that its leading coefficient is 1, dividing exactly."""
+    return p * Fraction(1, p.terms[0][1])
 
 
 @pytest.fixture(scope="session")

@@ -24,6 +24,8 @@ from quivinv import (
     run_verification,
 )
 
+from conftest import monic
+
 # -- transcriptions -----------------------------------------------------------
 
 KERNEL_8 = [
@@ -70,11 +72,6 @@ def run_cli(*argv):
 def shipped():
     with open(bundled("a1_preprojective.quiver"), encoding="utf-8") as fh:
         return parse_presentation(fh.read())
-
-
-def monic(p):
-    """p scaled so that its leading coefficient is 1."""
-    return p * (1 / p.terms[0][1])
 
 
 def report(number: int, label: str, elapsed: float = None):

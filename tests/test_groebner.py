@@ -19,7 +19,7 @@ from quivinv import (
     ideal_equal,
 )
 from quivinv.groebner import _Packing, _Reducers, _reducer_of
-from test_polyring import NVARS, fronts, monomials, orders, reference_key
+from test_polyring import NVARS, fronts, has_exact_coefficients, monomials, orders, reference_key
 
 # x first is lex on ideals in x and y alone; with x and y first, a basis in
 # shape position (x - f(z), y - g(z), h(z), deg f, deg g < deg h) is the lex one
@@ -46,7 +46,7 @@ def spoly(f, g, order):
     def shifted(h, lm, lc):
         q = tuple(x - y for x, y in zip(big, lm))
         return h.ring.polynomial(
-            [(tuple(x + y for x, y in zip(m, q)), c / lc) for m, c in h.terms]
+            [(tuple(x + y for x, y in zip(m, q)), Fraction(c, lc)) for m, c in h.terms]
         )
 
     return shifted(f, mf, cf) - shifted(g, mg, cg)
@@ -296,6 +296,14 @@ class TestEliminateOracle:
             assert sub.normal_form(f) == rebuilt.normal_form(f)
 
 
+class TestExactCoefficients:
+    @given(fronts(3), st.lists(small_polys, min_size=1, max_size=3), small_polys)
+    @settings(max_examples=25, deadline=None)
+    def test_no_coefficient_is_a_float(self, front, gens, f):
+        gb = Ideal(R, gens).groebner_basis(front, ComputeBudget(max_steps=200_000))
+        assert all(has_exact_coefficients(h) for h in [gb.normal_form(f), *eliminate(gb).polys])
+
+
 def homogeneous_polys(ring, max_degree=3):
     """Nonzero homogeneous polynomials of degree 1 to ``max_degree`` in ``ring``."""
     variables = st.lists(st.integers(0, ring.nvars - 1), min_size=1, max_size=max_degree)
@@ -388,15 +396,19 @@ class TestLazyPolynomials:
         """The engine term lists converted to polynomials, in order."""
         built, make = [], groebner.GroebnerBasis._polynomial
         monkeypatch.setattr(
-            groebner.GroebnerBasis, "_polynomial", lambda self, t: built.append(t) or make(self, t)
+            groebner.GroebnerBasis, "_polynomial",
+            lambda self, t, denom: built.append(t) or make(self, t, denom),
         )
         return built
 
     def test_polys_are_built_once_when_read(self, built):
         gb = Ideal(R, [X * Y - 1, Y * Y - 1]).groebner_basis(X_FIRST)
-        assert len(gb) == 2 and gb.normal_form(X * X) == R.one and built == []
+        basis_terms = [r.terms for r in gb._reducers.reducers]
+        # normal_form converts its remainder and no basis element
+        assert len(gb) == 2 and gb.normal_form(X * X) == R.one and len(built) == 1
+        assert all(t is not b for t in built for b in basis_terms)
         assert list(gb) == list(gb.polys) and gb.polys is gb.polys
-        assert len(built) == 2
+        assert built[1:] == basis_terms
 
     def test_eliminate_converts_only_the_front_free_elements(self, built):
         gb = Ideal(R, [X - Y**2, X - Z**2]).groebner_basis(X_FIRST)

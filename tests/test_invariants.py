@@ -31,6 +31,8 @@ from quivinv import (
 )
 from quivinv.invariants import element_matrix, invariant_functions, path_matrix
 
+from conftest import monic
+
 # the eight defining polynomials of the representation scheme, transcribed
 REP_IDEAL_8 = [
     "x[c;1,1]*x[f;1,1] + x[c;2,1]*x[f;1,2] - x[d;1,1]*x[e;1,1] - x[d;2,1]*x[e;1,2]",
@@ -67,11 +69,6 @@ a: 0 -> 0
 0 = 2
 [K] 0
 """
-
-
-def monic(p):
-    """p scaled so that its leading coefficient is 1."""
-    return p * (1 / p.terms[0][1])
 
 
 class TestContraction:

@@ -39,6 +39,13 @@ polynomials = st.builds(
     st.lists(st.tuples(monomials, coefficients), max_size=5),
 )
 
+scalars = st.one_of(st.integers(), st.fractions())
+
+
+def has_exact_coefficients(f):
+    """Whether every coefficient of ``f`` is an int or a Fraction, never a float."""
+    return all(isinstance(c, (int, Fraction)) for _, c in f.terms)
+
 
 
 def fronts(nvars):
@@ -180,6 +187,22 @@ class TestArithmetic:
     def test_zero_polynomial_has_empty_terms(self):
         x = RING.var(0)
         assert (x - x).terms == ()
+
+
+class TestScalars:
+    @given(scalars)
+    def test_constant_equals_and_hashes_as_its_scalar(self, c):
+        assert RING.constant(c) == c and hash(RING.constant(c)) == hash(c)
+
+    def test_constants_and_their_scalars_are_one_set_element(self):
+        assert {RING.zero, 0, RING.one, 1, Fraction(1)} == {0, 1}
+
+    @given(st.lists(st.tuples(monomials, scalars), max_size=5), polynomials, scalars)
+    def test_no_coefficient_is_a_float(self, terms, g, c):
+        f = RING.polynomial(terms)
+        results = [f, RING.parse(str(f)), f + g, f - g, f * g]
+        results += [f + c, c + f, f - c, c - f, f * c, c * f]
+        assert all(has_exact_coefficients(h) for h in results)
 
 
 class TestToRing:

@@ -12,6 +12,7 @@ from quivinv import (
     AlgebraElement,
     ComputeBudget,
     Ideal,
+    enumerate_paths,
     kernel_generators,
     parse_presentation,
     path_from_word,
@@ -139,8 +140,9 @@ def test_failed_checks_report_the_trials_done(a1, monkeypatch):
     monkeypatch.setattr(verification, "element_matrix", broken_matrix)
     rng = random.Random(0)
     gb = rep_ideal(a1).groebner_basis()
-    product = CheckResult.of("product_law", verification._product_law(a1, rng, 50), 50)
-    lift = CheckResult.of("lift", verification._lift_independence(a1, rng, 30, gb, None), 30)
+    pool = enumerate_paths(a1.quiver, a1.quiver.vertices, a1.quiver.vertices, 4)
+    product = CheckResult.of("product_law", verification._product_law(a1, pool, rng, 50), 50)
+    lift = CheckResult.of("lift", verification._lift_independence(a1, pool, rng, 30, gb, None), 30)
     assert (product.passed, product.trials) == (False, 1)
     assert (lift.passed, lift.trials) == (False, 1)
 
@@ -164,7 +166,9 @@ def test_product_law_compares_coefficients_not_only_monomials(a1, monkeypatch):
 
     monkeypatch.setattr(verification, "compose", compose)
     monkeypatch.setattr(verification, "contraction_poly", doubled)
-    product = CheckResult.of("product_law", verification._product_law(a1, random.Random(0), 50), 50)
+    pool = enumerate_paths(a1.quiver, a1.quiver.vertices, a1.quiver.vertices, 4)
+    check = verification._product_law(a1, pool, random.Random(0), 50)
+    product = CheckResult.of("product_law", check, 50)
     assert (product.passed, product.trials) == (False, 1)
 
 
@@ -174,15 +178,14 @@ def test_more_failed_checks_report_the_trials_done(a1, monkeypatch):
     # arrow's entry ideal: all three checks fail on their first trial
     ring = ring_for(a1)
     traces = itertools.count()
-    cycle = path_from_word(a1.quiver, "fdec")
-    monkeypatch.setattr(verification, "_path_pool", lambda pres, max_len: [cycle])
+    pool = [path_from_word(a1.quiver, "fdec")]
     monkeypatch.setattr(verification, "trace_poly", lambda pres, p: ring.constant(next(traces)))
     monkeypatch.setattr(verification, "eval_poly", lambda poly, pres, point: None)
     monkeypatch.setattr(verification, "contraction_poly", lambda pres, p, i, j: ring.one)
     rng = random.Random(0)
-    rotation = CheckResult.of("rotation", verification._trace_rotation(a1, rng), 50)
-    oracle = CheckResult.of("oracle", verification._evaluation_oracle(a1, rng), 30)
-    traversal = CheckResult.of("traversal", verification._traversal(a1, rng), 30)
+    rotation = CheckResult.of("rotation", verification._trace_rotation(a1, pool, rng), 50)
+    oracle = CheckResult.of("oracle", verification._evaluation_oracle(a1, pool, rng), 30)
+    traversal = CheckResult.of("traversal", verification._traversal(a1, pool, rng), 30)
     assert (rotation.passed, rotation.trials) == (False, 1)
     assert (oracle.passed, oracle.trials) == (False, 1)
     assert (traversal.passed, traversal.trials) == (False, 1)
