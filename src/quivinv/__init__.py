@@ -42,6 +42,7 @@ from .evaluation import (
     act,
     check_invariance,
     eval_poly,
+    evaluator,
     random_group,
     random_rep,
 )

@@ -2,7 +2,7 @@
 
 Everything is computed exactly, never in floats: only the group inverses, and
 so the moved points, are rational, and only :func:`mat_inverse` and the last
-step of :func:`eval_poly` divide.  Equality checks are therefore literal
+step of an :func:`evaluator` divide.  Equality checks are therefore literal
 polynomial identities at points; there is no tolerance policy.
 Randomness is always seeded and the seeds are recorded in reports.
 """
@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .polyring import ARROW, Polynomial, RingError
 from .quiver import Path, Presentation, QuiverError, framed_quiver
@@ -115,33 +115,43 @@ def act(pres: Presentation, g: GroupElement, point: RepPoint) -> RepPoint:
     return out
 
 
-def eval_poly(f: Polynomial, pres: Presentation, point: RepPoint) -> Number:
-    """Substitute matrix entries for arrow variables, exactly: over a common
+def evaluator(f: Polynomial) -> Callable[[RepPoint], Number]:
+    """f read once into an exact ``point -> value`` function.  Over a common
     denominator D of the used entries, a monomial of degree d is an int over
     D^d, summed in ints per (coefficient denominator, d) and divided once."""
     if not f.terms:
-        return 0
-    values = []  # an int or a Fraction per variable; 0 where no term uses it
-    for var, used in zip(f.ring.variables, map(any, zip(*(m for m, _ in f.terms)))):
-        x = 0
-        if used:
-            if var.kind != ARROW:
-                raise RingError(f"unknown variable {var} at evaluation")
+        return lambda point: 0
+    used = [i for i, u in enumerate(map(any, zip(*(m for m, _ in f.terms)))) if u]
+    # where each used variable lies in a point; a fresh variable lies nowhere
+    where = [
+        (v, v.name if v.kind == ARROW else None, v.row - 1, v.col - 1)
+        for v in (f.ring.variables[i] for i in used)
+    ]
+    terms = [(c.numerator, (c.denominator, sum(m)), [m[i] for i in used]) for m, c in f.terms]
+
+    def value(point: RepPoint) -> Number:
+        values = []  # an int or a Fraction per used variable
+        for var, name, row, col in where:
             try:
-                x = point[var.name][var.row - 1][var.col - 1]
+                values.append(point[name][row][col])
             except (KeyError, IndexError):
                 raise RingError(f"unknown variable {var} at evaluation") from None
-        values.append(x)
-    D = lcm(*(x.denominator for x in values))
-    nums = [x.numerator * (D // x.denominator) for x in values]
-    sums: dict[tuple[int, int], int] = {}
-    for m, c in f.terms:
-        key = (c.denominator, sum(m))
-        sums[key] = sums.get(key, 0) + c.numerator * prod(map(pow, nums, m))
-    den = lcm(*(c for c, _ in sums))
-    top = max(d for _, d in sums)
-    num = sum(s * (den // c) * D ** (top - d) for (c, d), s in sums.items())
-    return Fraction(num, den * D**top)
+        D = lcm(*(x.denominator for x in values))
+        nums = [x.numerator * (D // x.denominator) for x in values]
+        sums: dict[tuple[int, int], int] = {}
+        for c, key, m in terms:
+            sums[key] = sums.get(key, 0) + c * prod(map(pow, nums, m))
+        den = lcm(*(c for c, _ in sums))
+        top = max(d for _, d in sums)
+        num = sum(s * (den // c) * D ** (top - d) for (c, d), s in sums.items())
+        return Fraction(num, den * D**top)
+
+    return value
+
+
+def eval_poly(f: Polynomial, pres: Presentation, point: RepPoint) -> Number:
+    """f at a point, exactly: see :func:`evaluator`."""
+    return evaluator(f)(point)
 
 
 def _product(matrices: RepPoint, path: Path, cols: int) -> Matrix:
@@ -195,14 +205,15 @@ class CheckResult:
 
 def _invariance_outcomes(entries, pres: Presentation, seed: int):
     rng = random.Random(seed)
+    compiled = [(label, f, evaluator(f)) for label, f in entries]
     for trial in itertools.count() if entries else ():
         rep_seed = rng.randrange(2**31)
         grp_seed = rng.randrange(2**31)
         point = random_rep(pres, rep_seed)
         moved = act(pres, random_group(pres, grp_seed), point)
-        for label, f in entries:
-            lhs = eval_poly(f, pres, moved)
-            rhs = eval_poly(f, pres, point)
+        for label, f, value in compiled:
+            lhs = value(moved)
+            rhs = value(point)
             if lhs != rhs:
                 yield dict(
                     trial=trial, rep_seed=rep_seed, group_seed=grp_seed, generator=label,

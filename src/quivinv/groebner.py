@@ -29,11 +29,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
-from operator import mul
+from math import gcd
 from typing import Iterable, Optional
 
-from .polyring import Polynomial, PolynomialRing, RingError
+from .polyring import Polynomial, PolynomialRing, RingError, integer_terms
 
 
 class BudgetExceededError(RuntimeError):
@@ -70,15 +69,15 @@ class _Packing:
 
     An order is the frozenset of the variables eliminated first: a block
     order with degrevlex inside each block, the empty front being plain
-    degrevlex.  K is a linear form sum(e_i * w_i) whose integer order is the
-    monomial order.  With W = 2**bits, a block of n variables gets the
-    degrevlex weights W**n - W**k at its k-th variable (the degree on top,
-    reversed exponents subtracted below it), and the front block is scaled
-    above any back-block key.  E holds exponent i in bits
-    [i*(bits+1), i*(bits+1)+bits), each field topped by a zero guard bit, and
-    the total degree above all fields, so b divides a iff
-    ((a | guard) - b) & guard == guard.  A product of monomials adds the Ks
-    and the Es.  Both stay exact while every degree is below W; the engine
+    degrevlex.  E holds exponent i in bits [i*(bits+1), i*(bits+1)+bits),
+    each field topped by a zero guard bit, and the total degree above all
+    fields, at ``shift``, so b divides a iff ((a | guard) - b) & guard == guard.
+    K is read off E: a block's key is its degree times 2**shift less its
+    fields as they lie in E (the degree on top, reversed exponents subtracted
+    below it), and the front block's key is scaled above any back-block key.
+    K is linear in the exponents and its integer order is the monomial order,
+    so a product of monomials adds the Ks and the Es.
+    Both stay exact while every degree is below W = 2**bits; the engine
     checks that on packing, per new pair and per reduction step (the sugar
     bounds the degree of every term a step creates) and raises _Overflow.
     """
@@ -91,13 +90,7 @@ class _Packing:
         self.guard = self.ones << bits
         self.fields = self.guard - self.ones  # every field's bits, no guard bits
         self.top = max(self.shift - self.stride, 0)  # where lcm sums the fields
-        W = self.limit
-        back = [i for i in range(nvars) if i not in order]
-        self.weights = [0] * nvars
-        for block, scale in ((sorted(order), W ** (len(back) + 1)), (back, 1)):
-            n = len(block)
-            for k, i in enumerate(block):
-                self.weights[i] = scale * (W**n - W**k)
+        self.front = sum(self.limit - 1 << i * self.stride for i in order)  # the front block
 
     def pack(self, m: tuple[int, ...]) -> tuple[int, int]:
         e = sum(m)
@@ -105,18 +98,16 @@ class _Packing:
             raise _Overflow
         for x in reversed(m):
             e = (e << self.stride) | x
-        return sum(map(mul, m, self.weights)), e
+        return self.key(e), e
 
     def unpack(self, e: int) -> tuple[int, ...]:
         return tuple((e >> (i * self.stride)) & (self.limit - 1) for i in range(self.nvars))
 
     def key(self, e: int) -> int:
-        k, e = 0, e & self.fields
-        while e:  # the nonzero fields, top one first
-            i = (e.bit_length() - 1) // self.stride
-            k += self.weights[i] * (e >> i * self.stride)
-            e &= (1 << i * self.stride) - 1
-        return k
+        front = e & self.front
+        d = (front * self.ones >> self.top) & (2 * self.limit - 1)  # the front block's degree
+        back = (((e >> self.shift) - d) << self.shift) - ((e & self.fields) - front)
+        return (((d << self.shift) - front) << (self.shift + self.stride)) + back
 
     def lcm(self, a: int, b: int) -> int:
         ge = ((a | self.guard) - b) & self.guard  # guard bits of the fields where a >= b
@@ -136,10 +127,10 @@ class _Packing:
 
 def _to_engine(poly: Polynomial, packing: _Packing) -> tuple[list, int]:
     """Engine form of denom * poly together with the denominator used."""
-    denom_lcm = lcm(*(c.denominator for _, c in poly.terms))
-    terms = [(*packing.pack(m), c.numerator * (denom_lcm // c.denominator)) for m, c in poly.terms]
+    (terms,), denom = integer_terms([poly])
+    terms = [(*packing.pack(m), c) for m, c in terms]
     terms.sort(reverse=True)
-    return terms, denom_lcm
+    return terms, denom
 
 
 def _primitive(terms: list) -> list:
@@ -508,17 +499,16 @@ def eliminate(basis: GroebnerBasis) -> GroebnerBasis:
 
     By the elimination theorem (Cox, Little and O'Shea, ch. 3 section 1) it is
     the elements free of the front block (``basis.order``), repacked by their
-    exponents: the back block's weights are the subring's degrevlex weights, so
-    the leads and their order stay.  No polynomial is built until read.
+    exponents: the back block's order is the subring's degrevlex order, so the
+    leads and their order stay.  No polynomial is built until read.
     """
     ring, front, old = basis.ring, basis.order, basis._reducers
     back = [i for i in range(ring.nvars) if i not in front]
     subring = PolynomialRing([ring.variables[i] for i in back])
     packing = _Packing(frozenset(), len(back), old.packing.bits)
-    front_fields = sum(old.packing.limit - 1 << i * old.packing.stride for i in front)
     reducers = _Reducers(packing)
     for r in old.reducers:
-        if not any(e & front_fields for _, e, _ in r.terms):
+        if not any(e & old.packing.front for _, e, _ in r.terms):
             exps = ((old.packing.unpack(e), c) for _, e, c in r.terms)
             terms = [(*packing.pack(tuple(m[i] for i in back)), c) for m, c in exps]
             reducers.append(_reducer_of(terms, packing.shift))

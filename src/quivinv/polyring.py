@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import add
 from typing import Iterable
 
@@ -239,10 +240,8 @@ class Polynomial:
 
     @property
     def total_degree(self) -> int:
-        """Degree of the zero polynomial is -1 by convention."""
-        if self.is_zero:
-            return -1
-        return max(sum(m) for m, _ in self.terms)
+        """The lead's degree, since terms sort by degree first; -1 for zero."""
+        return sum(self.terms[0][0]) if self.terms else -1
 
     def to_ring(self, target: PolynomialRing) -> "Polynomial":
         """The same polynomial in another ring, matching variables by identity.
@@ -333,3 +332,11 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
+
+
+def integer_terms(polys: Iterable[Polynomial]) -> tuple[list[list[tuple[tuple, int]]], int]:
+    """The term lists of D * f for each polynomial f, with int coefficients,
+    and D, the lcm of every coefficient denominator."""
+    terms = [f.terms for f in polys]
+    D = lcm(*(c.denominator for t in terms for _, c in t))
+    return [[(m, c.numerator * (D // c.denominator)) for m, c in t] for t in terms], D

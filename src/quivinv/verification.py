@@ -19,6 +19,7 @@ from .evaluation import (
     CheckResult,
     check_invariance,
     eval_poly,
+    evaluator,
     framed_trace,
     identity_matrix,
     mat_mul,
@@ -37,7 +38,7 @@ from .invariants import (
     trace_poly,
 )
 from .kernel import kernel_generators
-from .polyring import Polynomial
+from .polyring import Polynomial, integer_terms
 from .quiver import (
     Arrow,
     Path,
@@ -68,7 +69,8 @@ def _mutated(pres: Presentation) -> Presentation:
 def _product_law(pres: Presentation, pool: list[Path], rng: random.Random, trials: int):
     """Contraction of a composite equals the matrix-product sum of contractions;
     a draw with no continuation is not a trial, and at most ``4 * trials`` are made.
-    The right side is summed in a plain {exponents: coefficient} dict, not by ring.polynomial."""
+    Both sides are brought to ints over one denominator D, and the right side,
+    D**2 times the sum, is summed in a plain {exponents: int} dict."""
     v = pres.dims
     pool = [p for p in pool if len(p) <= 3]
     for _ in range(4 * trials if pool else 0):
@@ -78,17 +80,25 @@ def _product_law(pres: Presentation, pool: list[Path], rng: random.Random, trial
             continue
         q = rng.choice(continuations)
         qp = compose(q, p)
+        entries = [
+            (path, i, j)
+            for path in (q, p, qp)
+            for i in range(1, v[path.head] + 1)
+            for j in range(1, v[path.tail] + 1)
+        ]
+        terms, D = integer_terms(contraction_poly(pres, *e) for e in entries)
+        entry = dict(zip(entries, terms))
         for i in range(1, v[qp.head] + 1):
             for j in range(1, v[qp.tail] + 1):
                 rhs = {}
                 for k in range(1, v[p.head] + 1):
-                    right = contraction_poly(pres, p, k, j).terms
-                    for m1, c1 in contraction_poly(pres, q, i, k).terms:
+                    right = entry[p, k, j]
+                    for m1, c1 in entry[q, i, k]:
                         for m2, c2 in right:
                             m = tuple(map(add, m1, m2))
                             rhs[m] = rhs.get(m, 0) + c1 * c2
                 rhs = {m: c for m, c in rhs.items() if c}
-                if rhs != dict(contraction_poly(pres, qp, i, j).terms):
+                if rhs != {m: D * c for m, c in entry[qp, i, j]}:
                     yield {"q": q.word, "p": p.word, "i": i, "j": j}
         yield None
 
@@ -216,10 +226,11 @@ def _framed_correspondence(pres: Presentation, rng: random.Random):
             for i in range(1, v[c.head] + 1):
                 for j in range(1, v[b.tail] + 1):
                     framed_cycle, poly = framed_correspondence(pres, b.name, mid, c.name, i, j)
+                    value = evaluator(poly)
                     for _ in range(3):
                         point = random_rep(pres, rng.randrange(2**31))
                         lhs = framed_trace(pres, framed_cycle, point)
-                        rhs = eval_poly(poly, pres, point)
+                        rhs = value(point)
                         yield None if lhs == rhs else {"b": b.name, "c": c.name, "i": i, "j": j}
 
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from quivinv import (
     check_invariance,
     contraction_poly,
     eval_poly,
+    evaluator,
     framed_quiver,
     fresh_var,
     parse_presentation,
@@ -205,24 +207,31 @@ class TestInvariance:
         assert Fraction(w["moved"]).denominator > 2
 
     def test_trials_are_shared_by_all_entries(self, a1, monkeypatch):
-        # one action per trial, and each entry evaluated at both points
-        counts = {"eval_poly": 0, "act": 0}
+        # one evaluator per entry, one action per trial, and each entry
+        # evaluated at both points
+        counts = {"evaluator": 0, "evaluations": 0, "act": 0}
+        real_evaluator, real_act = evaluation.evaluator, evaluation.act
 
-        def counted(name):
-            real = getattr(evaluation, name)
+        def evaluator(f):
+            counts["evaluator"] += 1
+            value = real_evaluator(f)
 
-            def wrapped(*args):
-                counts[name] += 1
-                return real(*args)
+            def counted(point):
+                counts["evaluations"] += 1
+                return value(point)
 
-            monkeypatch.setattr(evaluation, name, wrapped)
+            return counted
 
-        counted("eval_poly")
-        counted("act")
+        def act(*args):
+            counts["act"] += 1
+            return real_act(*args)
+
+        monkeypatch.setattr(evaluation, "evaluator", evaluator)
+        monkeypatch.setattr(evaluation, "act", act)
         ring = ring_for(a1)
         entries = [(str(k), ring.constant(k)) for k in range(3)]
         assert check_invariance(entries, a1, 7, seed=2).passed
-        assert counts == {"eval_poly": 2 * 3 * 7, "act": 7}
+        assert counts == {"evaluator": 3, "evaluations": 2 * 3 * 7, "act": 7}
 
     def test_no_entries_means_no_trials(self, a1):
         result = check_invariance([], a1, 20, seed=0)
@@ -240,7 +249,7 @@ class TestInvariance:
     def test_failure_reports_the_trials_done(self, a1, monkeypatch):
         # every evaluation gives a new value, so the first trial fails
         values = itertools.count()
-        monkeypatch.setattr(evaluation, "eval_poly", lambda f, pres, point: next(values))
+        monkeypatch.setattr(evaluation, "evaluator", lambda f: lambda point: next(values))
         result = check_invariance([("1", ring_for(a1).one)], a1, 20, seed=0)
         assert (result.passed, result.trials, result.witness["trial"]) == (False, 1, 0)
 
@@ -338,6 +347,65 @@ class TestIntegerEvaluation:
         point = act(a1, random_group(a1, 3), random_rep(a1, 3))
         f = ring.parse("1/2*x[e;1,1]*t[1,1] + 1/3*x[c;1,1]")
         with pytest.raises(RingError, match="unknown variable t"):
+            eval_poly(f, a1, point)
+
+
+entries = st.integers(-5, 5)
+rational_entries = st.fractions(min_value=-5, max_value=5, max_denominator=9)
+
+
+def point_of(ring, values):
+    """The point whose entry for the k-th variable of ``ring`` is values[k]."""
+    rows: dict = {}
+    for var, x in zip(ring.variables, values):
+        rows.setdefault(var.name, {}).setdefault(var.row, {})[var.col] = x
+    return {
+        a: tuple(tuple(r[j] for j in sorted(r)) for _, r in sorted(m.items()))
+        for a, m in rows.items()
+    }
+
+
+class TestEvaluator:
+    """One compiled evaluator against the plain Fraction loop, at many points."""
+
+    @given(
+        st.one_of(
+            st.just([]),
+            st.builds(lambda c: [((0,) * 16, c)], st.fractions().filter(bool)),
+            st.lists(
+                st.tuples(st.lists(st.integers(0, 3), min_size=16, max_size=16), st.fractions()),
+                min_size=1,
+                max_size=8,
+            ),
+        ),
+        st.lists(st.lists(entries, min_size=16, max_size=16), min_size=1, max_size=3),
+        st.lists(st.lists(entries | rational_entries, min_size=16, max_size=16), max_size=3),
+    )
+    def test_matches_the_fraction_loop_at_each_point(self, a1, terms, integral, rational):
+        ring = ring_for(a1)
+        f = ring.polynomial((tuple(m), c) for m, c in terms)
+        value = evaluator(f)
+        for values in integral + rational:
+            point = point_of(ring, values)
+            assert value(point) == reference_eval(f, point) == eval_poly(f, a1, point)
+
+    @pytest.mark.parametrize(
+        "text, missing, named",
+        [
+            ("1/2*x[e;1,1]*t[1,1] + 1/3*x[c;1,1]", None, "t[1,1]"),
+            ("x[e;1,1] + x[c;2,1]*x[e;1,1]", "c", "x[c;2,1]"),
+            ("x[c;1,1]*t[1,1]", "c", "x[c;1,1]"),
+        ],
+    )
+    def test_raises_as_eval_poly(self, a1, text, missing, named):
+        f = with_fresh(a1).parse(text)
+        point = random_rep(a1, 3)
+        point.pop(missing, None)
+        message = f"^unknown variable {re.escape(named)} at evaluation$"
+        value = evaluator(f)
+        with pytest.raises(RingError, match=message):
+            value(point)
+        with pytest.raises(RingError, match=message):
             eval_poly(f, a1, point)
 
 

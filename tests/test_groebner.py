@@ -18,7 +18,7 @@ from quivinv import (
     fresh_var,
     ideal_equal,
 )
-from quivinv.groebner import _Packing, _Reducers, _reducer_of
+from quivinv.groebner import _Overflow, _Packing, _Reducers, _reducer_of
 from test_polyring import NVARS, fronts, has_exact_coefficients, monomials, orders, reference_key
 
 # x first is lex on ideals in x and y alone; with x and y first, a basis in
@@ -423,6 +423,22 @@ class TestPackedMonomials:
 
     # test_polyring's monomials have degree at most 20, products at most 40
     widths = st.sampled_from([6, 9, 16])
+
+    @given(st.just(frozenset()) | orders, widths, monomials)
+    def test_key_is_read_off_the_exponents(self, order, bits, m):
+        packing = _Packing(order, NVARS, bits)
+        assert packing.key(packing.pack(m)[1]) == packing.pack(m)[0]
+
+    @given(orders, st.sampled_from([1, 2, 6]), st.integers(0, NVARS - 1), st.data())
+    def test_pack_overflows_at_the_limit(self, order, bits, i, data):
+        packing = _Packing(order, NVARS, bits)
+        below = [0] * NVARS
+        for _ in range(packing.limit - 1):  # degree limit - 1, spread over the variables
+            below[data.draw(st.integers(0, NVARS - 1))] += 1
+        assert packing.unpack(packing.pack(tuple(below))[1]) == tuple(below)
+        below[i] += 1
+        with pytest.raises(_Overflow):
+            packing.pack(tuple(below))
 
     @given(orders, widths, monomials, monomials)
     def test_key_orders_as_the_reference_key(self, order, bits, a, b):

@@ -205,6 +205,14 @@ class TestScalars:
         assert all(has_exact_coefficients(h) for h in results)
 
 
+class TestTotalDegree:
+    @given(polynomials, polynomials, scalars)
+    def test_is_the_largest_term_degree(self, f, g, c):
+        results = [f, RING.parse(str(f)), f + g, f - g, f * g, f * c, f**2, RING.constant(c)]
+        for h in results:
+            assert h.total_degree == max((sum(m) for m, _ in h.terms), default=-1)
+
+
 class TestToRing:
     def test_maps_variables_by_identity(self):
         target = PolynomialRing([fresh_var(n, 1, 1) for n in ("w", "v", "x")])
