@@ -435,7 +435,10 @@ class TestPackedMonomials:
         below = [0] * NVARS
         for _ in range(packing.limit - 1):  # degree limit - 1, spread over the variables
             below[data.draw(st.integers(0, NVARS - 1))] += 1
-        assert packing.unpack(packing.pack(tuple(below))[1]) == tuple(below)
+        top, key = tuple(below), reference_key(order, NVARS)
+        assert packing.unpack(packing.pack(top)[1]) == top
+        for unit in ((0,) * k + (1,) + (0,) * (NVARS - k - 1) for k in range(NVARS)):
+            assert (packing.pack(top)[0] > packing.pack(unit)[0]) == (key(top) > key(unit))
         below[i] += 1
         with pytest.raises(_Overflow):
             packing.pack(tuple(below))
