@@ -23,7 +23,7 @@ from .invariants import lusztig_generators, rep_ideal
 from .kernel import InvariantPresentation, kernel_generators, present_invariant_ring
 from .polyring import RingError
 from .quiver import Presentation, QuiverError
-from .quiverfile import load_presentation, parse_presentation, read_text
+from .quiverfile import content_lines, load_presentation, parse_presentation, read_text
 from .verification import VerificationReport, run_verification
 
 EXIT_OK = 0
@@ -36,15 +36,15 @@ def _budget(args: argparse.Namespace) -> Optional[ComputeBudget]:
     return None if args.budget is None else ComputeBudget(max_steps=args.budget)
 
 
+def _comma_list(text: Optional[str]) -> Optional[list[str]]:
+    """The nonempty items of a comma-list option, or None when it is not given."""
+    return None if text is None else [item for item in text.split(",") if item]
+
+
 def _load(args: argparse.Namespace) -> Presentation:
     pres = load_presentation(args.file)
-    if args.K is not None:
-        pres = pres.with_frozen([v for v in args.K.split(",") if v != ""])
-    return pres
-
-
-def _selection(args: argparse.Namespace) -> Optional[list[str]]:
-    return None if args.select is None else [w for w in args.select.split(",") if w]
+    frozen = _comma_list(args.K)  # "" unfreezes every vertex
+    return pres if frozen is None else pres.with_frozen(frozen)
 
 
 def _data_text(name: str) -> str:
@@ -122,7 +122,7 @@ def _emit_listing(args: argparse.Namespace, pres: Presentation, entries, **bound
 
 def cmd_generators(args: argparse.Namespace) -> int:
     pres = _load(args)
-    gens = lusztig_generators(pres, args.max_len, _selection(args))
+    gens = lusztig_generators(pres, args.max_len, _comma_list(args.select))
     return _emit_listing(args, pres, gens, max_len=args.max_len)
 
 
@@ -134,21 +134,16 @@ def cmd_kernel(args: argparse.Namespace) -> int:
 
 def _compare_against(ip, compare_text: str, budget: Optional[ComputeBudget]) -> bool:
     ring = ip.elimination_basis.ring
-    polys = []
-    for line in compare_text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            polys.append(ring.parse(line))
+    polys = [ring.parse(line) for _, line in content_lines(compare_text)]
     return Ideal(ring, polys).groebner_basis(budget=budget).polys == ip.elimination_basis.polys
 
 
 def cmd_present(args: argparse.Namespace) -> int:
     pres = _load(args)
     budget = _budget(args)
-    compare_text = None
-    if args.compare:  # read before the elimination, so a bad path fails fast
-        compare_text = read_text(args.compare)
-    ip = present_invariant_ring(pres, args.max_len, _selection(args), budget)
+    # read before the elimination, so a bad path fails fast
+    compare_text = read_text(args.compare) if args.compare else None
+    ip = present_invariant_ring(pres, args.max_len, _comma_list(args.select), budget)
     payload = {
         "command": "present",
         "K": sorted(pres.frozen_vertices),
@@ -209,9 +204,37 @@ def cmd_example_a1(args: argparse.Namespace) -> int:
         "verification": _report(report),
     }
     print(json.dumps(payload, indent=2, sort_keys=True))
-    if not compare_equal:
-        return EXIT_VERIFY
-    return EXIT_OK if report.passed else EXIT_VERIFY
+    return EXIT_OK if compare_equal and report.passed else EXIT_VERIFY
+
+
+# Each option once, by dest: its flag and argparse keywords.
+_OPTIONS = {
+    "file": ("file", {"help": "quiver presentation file"}),
+    "K": ("--K", {"help": "override the frozen vertex set (comma list; empty for none)"}),
+    "format": ("--format", {"choices": ("text", "json"), "default": "text"}),
+    "budget": ("--budget", {"type": int, "help": "reduction-step cap for the basis engine"}),
+    "seed": ("--seed", {"type": int, "default": 0}),
+    "max_len": ("--max-len", {"type": int, "default": 2}),
+    "max_u": ("--max-u", {"type": int, "default": 1}),
+    "max_w": ("--max-w", {"type": int, "default": 1}),
+    "select": ("--select", {"help": "comma list of path words to keep"}),
+    "compare": ("--compare", {"help": "file of reference generators to compare against"}),
+    "mutate": ("--mutate", {"action": "store_true", "help": "flip one relation coefficient (must fail)"}),
+}
+
+# Each subcommand's help, handler and option dests in --help order; example-a1
+# reads the bundled file and always prints JSON.
+_SUBCOMMANDS = {
+    "generators": ("invariant-ring generators up to a length bound", cmd_generators,
+                   "file K format budget max_len select"),
+    "kernel": ("generators of the restriction-map kernel", cmd_kernel,
+               "file K format budget max_u max_w"),
+    "present": ("present the invariant ring by elimination", cmd_present,
+                "file K format budget max_len select compare"),
+    "verify": ("run the seeded verification suite", cmd_verify,
+               "file K format budget seed max_len max_u max_w mutate"),
+    "example-a1": ("run the bundled worked example end to end", cmd_example_a1, "budget seed"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -220,47 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Invariant-ring generators and relations for quivers with relations.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p, with_file=True):
-        if with_file:  # example-a1 reads the bundled file and always prints JSON
-            p.add_argument("file", help="quiver presentation file")
-            p.add_argument("--K", default=None, help="override the frozen vertex set (comma list; empty for none)")
-            p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--budget", type=int, default=None, help="reduction-step cap for the basis engine")
-
-    p = sub.add_parser("generators", help="invariant-ring generators up to a length bound")
-    common(p)
-    p.add_argument("--max-len", type=int, default=2, dest="max_len")
-    p.add_argument("--select", default=None, help="comma list of path words to keep")
-    p.set_defaults(func=cmd_generators)
-
-    p = sub.add_parser("kernel", help="generators of the restriction-map kernel")
-    common(p)
-    p.add_argument("--max-u", type=int, default=1, dest="max_u")
-    p.add_argument("--max-w", type=int, default=1, dest="max_w")
-    p.set_defaults(func=cmd_kernel)
-
-    p = sub.add_parser("present", help="present the invariant ring by elimination")
-    common(p)
-    p.add_argument("--max-len", type=int, default=2, dest="max_len")
-    p.add_argument("--select", default=None, help="comma list of path words to keep")
-    p.add_argument("--compare", default=None, help="file of reference generators to compare against")
-    p.set_defaults(func=cmd_present)
-
-    p = sub.add_parser("verify", help="run the seeded verification suite")
-    common(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-len", type=int, default=2, dest="max_len")
-    p.add_argument("--max-u", type=int, default=1, dest="max_u")
-    p.add_argument("--max-w", type=int, default=1, dest="max_w")
-    p.add_argument("--mutate", action="store_true", help="flip one relation coefficient (must fail)")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("example-a1", help="run the bundled worked example end to end")
-    common(p, with_file=False)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_example_a1)
-
+    for name, (help_text, func, options) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for dest in options.split():
+            flag, keywords = _OPTIONS[dest]
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 

@@ -8,7 +8,6 @@ an empty arrow word based at a vertex.  All types are immutable values.
 from __future__ import annotations
 
 import re
-import warnings
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
@@ -19,10 +18,6 @@ from .polyring import exact_number, signed_products, signed_sum
 
 class QuiverError(ValueError):
     """Structurally invalid quiver data (bad endpoints, duplicate ids, ...)."""
-
-
-class ConnectivityWarning(UserWarning):
-    """The quiver is not connected; nothing implemented requires it."""
 
 
 @dataclass(frozen=True)
@@ -64,23 +59,6 @@ class Quiver:
 
     def arrows_from(self, vertex: str) -> tuple[Arrow, ...]:
         return tuple(a for a in self.arrows if a.tail == vertex)
-
-    def is_connected(self) -> bool:
-        """Connectivity of the underlying undirected graph."""
-        if not self.vertices:
-            return True
-        adj: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for a in self.arrows:
-            adj[a.tail].add(a.head)
-            adj[a.head].add(a.tail)
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
 
 
 @dataclass(frozen=True)
@@ -329,14 +307,11 @@ class Presentation:
         names = [r.name for r in self.relations]
         if len(set(names)) != len(names):
             raise QuiverError("duplicate relation names")
-        taken = {a.name for a in self.quiver.arrows}
         for r in self.relations:
-            if r.name in taken:
+            if r.name in self.quiver._arrow_index:
                 raise QuiverError(f"relation name {r.name!r} clashes with an arrow name")
             if r.element.is_zero:
                 raise QuiverError(f"relation {r.name} is zero")
-        if not self.quiver.is_connected():
-            warnings.warn("quiver is not connected", ConnectivityWarning, stacklevel=2)
 
     @property
     def unfrozen_vertices(self) -> frozenset[str]:

@@ -30,6 +30,7 @@ vertex identifiers may be any whitespace-free token.
 from __future__ import annotations
 
 import re
+from typing import Iterator
 
 from .quiver import (
     AlgebraElement,
@@ -58,13 +59,19 @@ class QuiverFileError(QuiverError):
         self.line = line
 
 
+def content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """``(line number, text)`` of each line left nonblank once its ``#`` comment
+    is cut: the line rule of quiver files and ``present --compare`` files."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def _split_sections(text: str) -> dict[str, list[tuple[int, str]]]:
     sections: dict[str, list[tuple[int, str]]] = {}
     current: str | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         if line.startswith("["):
             close = line.find("]")
             if close < 0:
@@ -114,9 +121,7 @@ def parse_presentation(text: str) -> Presentation:
         if required not in sections:
             raise QuiverFileError(f"missing section [{required}]", 0)
 
-    vertices: list[str] = []
-    for lineno, line in sections["vertices"]:
-        vertices.extend(line.split())
+    vertices = [v for _, line in sections["vertices"] for v in line.split()]
     if not vertices:
         raise QuiverFileError("no vertices declared", 0)
 

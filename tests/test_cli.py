@@ -1,11 +1,12 @@
 import hashlib
 import json
+import warnings
 from importlib import resources
 
 import pytest
 
 from quivinv import Ideal, cli
-from quivinv.cli import main
+from quivinv.cli import build_parser, main
 
 from conftest import A1_TEXT
 
@@ -59,6 +60,12 @@ class TestGenerators:
         assert payload["K"] == []
         assert payload["count"] == 16
         assert payload["generators"][0]["polynomial"] == "x[c;1,1]"
+
+    def test_comma_lists_drop_empty_items(self, capsys, a1_file):
+        selected = run(capsys, "generators", str(a1_file), "--select", "ec,fc")
+        assert run(capsys, "generators", str(a1_file), "--select", ",ec,,fc,") == selected
+        unfrozen = run(capsys, "generators", str(a1_file), "--K", "")
+        assert run(capsys, "generators", str(a1_file), "--K", ",") == unfrozen
 
     def test_text_format(self, capsys, a1_file):
         code, out, _ = run(capsys, "generators", str(a1_file), "--max-len", "1", "--K", "")
@@ -169,6 +176,12 @@ class TestPresent:
         payload = json.loads(out)
         assert payload["compare"]["equal"] is True
         assert payload["elimination_ideal"] == ["c[1,1] - d[1,1]"]
+
+    def test_compare_file_skips_comments_and_blank_lines(self, capsys, kronecker_file, tmp_path):
+        ref = tmp_path / "ref.txt"
+        ref.write_text("# reference\n\nc[1,1] - d[1,1]  # the one relation\n   \n", encoding="utf-8")
+        code, out, _ = run(capsys, "present", kronecker_file, "--max-len", "1", "--compare", str(ref))
+        assert (code, out.splitlines()[-1]) == (0, "compare: equal")
 
     def test_compare_unequal_exits_one(self, capsys, kronecker_file, tmp_path):
         ref = tmp_path / "ref.txt"
@@ -335,3 +348,45 @@ def test_present_compare_builds_two_bases(capsys, monkeypatch):
     args = TEXT_PINS["present"][0]
     assert run(capsys, "present", str(DATA.joinpath("a1_preprojective.quiver")), *args)[0] == 0
     assert len(built) == 2
+
+
+FILE_OPTIONS = {"K": None, "format": "text", "budget": None}
+PARSED_DEFAULTS = {
+    "generators": FILE_OPTIONS | {"max_len": 2, "select": None},
+    "kernel": FILE_OPTIONS | {"max_u": 1, "max_w": 1},
+    "present": FILE_OPTIONS | {"max_len": 2, "select": None, "compare": None},
+    "verify": FILE_OPTIONS | {"seed": 0, "max_len": 2, "max_u": 1, "max_w": 1, "mutate": False},
+    "example-a1": {"budget": None, "seed": 0},
+}
+
+
+@pytest.mark.parametrize("command", sorted(PARSED_DEFAULTS))
+def test_each_subcommand_takes_exactly_its_options(command):
+    argv = [command] if command == "example-a1" else [command, "q.quiver"]
+    parsed = vars(build_parser().parse_args(argv))
+    assert parsed.pop("func") is getattr(cli, "cmd_" + command.replace("-", "_"))
+    file = {} if command == "example-a1" else {"file": "q.quiver"}
+    assert parsed == {"subcommand": command, **file, **PARSED_DEFAULTS[command]}
+
+
+DISCONNECTED = """
+[vertices] 0 1 2
+[arrows]
+a: 0 -> 0
+[dims]
+0 = 2
+1 = 1
+2 = 1
+[K] 0
+"""
+
+
+def test_a_disconnected_quiver_runs_without_a_warning(capsys, tmp_path):
+    path = tmp_path / "disconnected.quiver"
+    path.write_text(DISCONNECTED, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run(capsys, "generators", str(path))
+        assert code == 0
+        assert out.splitlines()[0] == "tr[a] = x[a;1,1] + x[a;2,2]"
+        assert run(capsys, "verify", str(path))[0] == 0

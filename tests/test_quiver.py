@@ -1,4 +1,5 @@
 import itertools
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from quivinv import (
     sandwich,
     trivial_path,
 )
-from quivinv.quiver import ConnectivityWarning, canonical_rotation, rotations
+from quivinv.quiver import canonical_rotation, rotations
 
 JORDAN = Quiver(("0",), (Arrow("a", "0", "0"),))
 
@@ -50,10 +51,11 @@ class TestQuiverValidation:
         with pytest.raises(QuiverError):
             DimensionVector.of(JORDAN, {"0": -1})
 
-    def test_disconnected_quiver_warns_but_builds(self):
+    def test_disconnected_quiver_builds_without_a_warning(self):
         q = Quiver(("0", "1"), ())
         v = DimensionVector.of(q, {"0": 1, "1": 1})
-        with pytest.warns(ConnectivityWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             Presentation(q, v, frozenset())
 
 

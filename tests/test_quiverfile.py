@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quivinv import QuiverFileError, RingError, parse_presentation
-from quivinv.quiver import Arrow, ConnectivityWarning, Quiver, algebra_element, enumerate_paths
-from quivinv.quiverfile import _parse_relation_element, load_presentation
+from quivinv.quiver import Arrow, Quiver, algebra_element, enumerate_paths
+from quivinv.quiverfile import _parse_relation_element, content_lines, load_presentation
 
 from conftest import A1_TEXT, mutate
 
@@ -165,6 +165,10 @@ class TestCoefficientsAndTrivialTerms:
         pres = parse_presentation(text)
         assert pres.frozen_vertices == frozenset({"1"})
 
+    def test_content_lines_cut_comments_and_keep_line_numbers(self):
+        text = "# header\n\n  a b  # trailing\n#\n c\t\n"
+        assert list(content_lines(text)) == [(3, "a b"), (5, "c")]
+
 
 BUNDLED = resources.files("quivinv").joinpath("data", "a1_preprojective.quiver").read_text("utf-8")
 
@@ -187,7 +191,7 @@ class TestFuzz:
     def test_mutated_file_raises_only_documented_errors(self, edit_list):
         text = mutate(BUNDLED, edit_list)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ConnectivityWarning)
+            warnings.simplefilter("error")
             try:
                 parse_presentation(text)
             except QuiverFileError as exc:
